@@ -1,6 +1,7 @@
 //! Hand-rolled argument parsing for `recipe-mine` (no external parser
 //! dependency; the surface is small and stable).
 
+use recipe_serve::ServeConfig;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -82,8 +83,7 @@ pub enum Command {
         threads: usize,
     },
     /// `serve --model <path> [--addr HOST:PORT] [--threads T]
-    /// [--quantized] [--queue-cap N] [--batch-max B]
-    /// [--batch-window-us U] [--no-monitoring] [--no-profiling]
+    /// [--quantized] [--queue-cap N] [--no-monitoring] [--no-profiling]
     /// [--drift-sample N]
     /// [--keepalive-max-requests N] [--keepalive-idle-ms MS]
     /// [--slo-availability R] [--slo-latency-ms MS]`:
@@ -92,39 +92,12 @@ pub enum Command {
     Serve {
         /// Trained artifact path (`.json` pipeline or binary `.rma`).
         model: String,
-        /// Bind address (`host:port`; port 0 picks an ephemeral port).
-        addr: String,
-        /// Worker shards (0 = `RECIPE_THREADS` env / detected cores).
-        threads: usize,
         /// Decode with the i16 quantized kernels (`.rma` models only).
         quantized: bool,
-        /// Bounded request-queue capacity (admission control depth).
-        queue_cap: usize,
-        /// Max requests drained into one micro-batch.
-        batch_max: usize,
-        /// Micro-batch fill window in microseconds.
-        batch_window_us: u64,
-        /// Collect windowed metrics, SLO outcomes, slow-request
-        /// exemplars and drift samples (`--no-monitoring` disables).
-        monitoring: bool,
-        /// Attribute per-request stage costs on the always-on request
-        /// profiler behind `/admin/profile` (`--no-profiling`
-        /// disables).
-        profiling: bool,
-        /// Sample every Nth `/extract` request for drift scoring
-        /// (`0` disables sampling).
-        drift_sample: u64,
-        /// Requests served per keep-alive connection before close.
-        keepalive_max_requests: u32,
-        /// Idle milliseconds before a parked keep-alive connection is
-        /// reaped.
-        keepalive_idle_ms: u64,
-        /// Availability SLO target in `(0.0, 1.0)` (good requests /
-        /// total), reflected in `/admin/slo`.
-        slo_availability: f64,
-        /// Per-request latency SLO threshold in milliseconds; requests
-        /// slower than this count against the latency objective.
-        slo_latency_ms: f64,
+        /// Server knobs: [`ServeConfig::default`] with each given flag
+        /// applied (`--threads` sets `shards`, `--slo-latency-ms` sets
+        /// `slo_latency_s`).
+        config: ServeConfig,
     },
     /// `bench-diff [--history PATH] [--benchmark NAME] [--warn-pct P]
     /// [--fail-pct P] [--smoke]`: compare the latest bench run in the
@@ -365,13 +338,20 @@ impl fmt::Display for ArgsError {
 
 impl std::error::Error for ArgsError {}
 
-/// Split args into `--flag value` pairs plus positionals.
-fn split_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
+/// Split args into `--flag value` pairs plus positionals, rejecting
+/// any flag name outside `known`.
+fn split_flags(
+    args: &[String],
+    known: &[&str],
+) -> Result<(HashMap<String, String>, Vec<String>), ArgsError> {
     let mut flags = HashMap::new();
     let mut positional = Vec::new();
     let mut i = 0usize;
     while i < args.len() {
         if let Some(name) = args[i].strip_prefix("--") {
+            if !known.contains(&name) {
+                return Err(ArgsError::UnexpectedArg(args[i].clone()));
+            }
             if i + 1 < args.len() {
                 flags.insert(name.to_string(), args[i + 1].clone());
                 i += 2;
@@ -384,7 +364,64 @@ fn split_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
             i += 1;
         }
     }
-    (flags, positional)
+    Ok((flags, positional))
+}
+
+/// The `--flag value` names each `split_flags` subcommand accepts;
+/// `None` for subcommands that parse their arguments themselves.
+fn value_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "help" | "--help" | "-h" | "stats" => &[],
+        "train" => &[
+            "out",
+            "recipes",
+            "seed",
+            "threads",
+            "metrics-out",
+            "trace-out",
+            "trace-sample",
+            "profile-out",
+        ],
+        "generate" => &["out", "recipes", "seed"],
+        "extract" | "mine" => &[
+            "model",
+            "threads",
+            "metrics-out",
+            "trace-out",
+            "trace-sample",
+            "profile-out",
+        ],
+        "compile" => &["out", "model", "recipes", "seed", "threads"],
+        "explain" => &["model", "threads"],
+        "serve" => &[
+            "model",
+            "addr",
+            "threads",
+            "queue-cap",
+            "drift-sample",
+            "keepalive-max-requests",
+            "keepalive-idle-ms",
+            "slo-availability",
+            "slo-latency-ms",
+        ],
+        _ => return None,
+    })
+}
+
+/// Parse `--name`'s value if the flag was given; a value that does not
+/// parse or fails `valid` is a [`ArgsError::BadValue`].
+fn parse_flag<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    name: &'static str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<Option<T>, ArgsError> {
+    let Some(v) = flags.get(name) else {
+        return Ok(None);
+    };
+    match v.parse() {
+        Ok(parsed) if valid(&parsed) => Ok(Some(parsed)),
+        _ => Err(ArgsError::BadValue(name, v.clone())),
+    }
 }
 
 /// Parse a CLI invocation (without the program name).
@@ -454,7 +491,10 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, ArgsError> {
         return Err(ArgsError::UnexpectedArg("--no-profiling".to_string()));
     }
     let rest = rest.as_slice();
-    let (flags, positional) = split_flags(rest);
+    let (flags, positional) = match value_flags(cmd) {
+        Some(known) => split_flags(rest, known)?,
+        None => (HashMap::new(), Vec::new()),
+    };
     let command = match cmd.as_str() {
         "help" | "--help" | "-h" => Command::Help,
         "train" => {
@@ -579,106 +619,41 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, ArgsError> {
                 .get("model")
                 .cloned()
                 .ok_or(ArgsError::MissingFlag("model"))?;
-            let addr = flags
-                .get("addr")
-                .cloned()
-                .unwrap_or_else(|| "127.0.0.1:7878".to_string());
-            let queue_cap = match flags.get("queue-cap") {
-                Some(v) => {
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| ArgsError::BadValue("queue-cap", v.clone()))?;
-                    if n == 0 {
-                        return Err(ArgsError::BadValue("queue-cap", v.clone()));
-                    }
-                    n
-                }
-                None => 128,
-            };
-            let batch_max = match flags.get("batch-max") {
-                Some(v) => {
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| ArgsError::BadValue("batch-max", v.clone()))?;
-                    if n == 0 {
-                        return Err(ArgsError::BadValue("batch-max", v.clone()));
-                    }
-                    n
-                }
-                None => 8,
-            };
-            let batch_window_us = match flags.get("batch-window-us") {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| ArgsError::BadValue("batch-window-us", v.clone()))?,
-                None => 500,
-            };
-            let drift_sample = match flags.get("drift-sample") {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| ArgsError::BadValue("drift-sample", v.clone()))?,
-                None => 8,
-            };
-            let keepalive_max_requests = match flags.get("keepalive-max-requests") {
-                Some(v) => {
-                    let n: u32 = v
-                        .parse()
-                        .map_err(|_| ArgsError::BadValue("keepalive-max-requests", v.clone()))?;
-                    if n == 0 {
-                        return Err(ArgsError::BadValue("keepalive-max-requests", v.clone()));
-                    }
-                    n
-                }
-                None => 64,
-            };
-            let keepalive_idle_ms = match flags.get("keepalive-idle-ms") {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| ArgsError::BadValue("keepalive-idle-ms", v.clone()))?,
-                None => 5_000,
-            };
-            let slo_availability = match flags.get("slo-availability") {
-                Some(v) => {
-                    let r: f64 = v
-                        .parse()
-                        .map_err(|_| ArgsError::BadValue("slo-availability", v.clone()))?;
-                    // 0.0 and 1.0 are excluded: a 0-target objective is
-                    // vacuous and a 1.0 target makes every error an
-                    // infinite burn rate.
-                    if !r.is_finite() || r <= 0.0 || r >= 1.0 {
-                        return Err(ArgsError::BadValue("slo-availability", v.clone()));
-                    }
-                    r
-                }
-                None => 0.999,
-            };
-            let slo_latency_ms = match flags.get("slo-latency-ms") {
-                Some(v) => {
-                    let ms: f64 = v
-                        .parse()
-                        .map_err(|_| ArgsError::BadValue("slo-latency-ms", v.clone()))?;
-                    if !ms.is_finite() || ms <= 0.0 {
-                        return Err(ArgsError::BadValue("slo-latency-ms", v.clone()));
-                    }
-                    ms
-                }
-                None => 250.0,
+            let d = ServeConfig::default();
+            let config = ServeConfig {
+                addr: flags.get("addr").cloned().unwrap_or(d.addr),
+                shards: parse_flag(&flags, "threads", |_| true)?.unwrap_or(d.shards),
+                queue_cap: parse_flag(&flags, "queue-cap", |&n: &usize| n > 0)?
+                    .unwrap_or(d.queue_cap),
+                monitoring: d.monitoring && !no_monitoring,
+                profiling: d.profiling && !no_profiling,
+                drift_sample: parse_flag(&flags, "drift-sample", |_| true)?
+                    .unwrap_or(d.drift_sample),
+                keepalive_max_requests: parse_flag(
+                    &flags,
+                    "keepalive-max-requests",
+                    |&n: &u32| n > 0,
+                )?
+                .unwrap_or(d.keepalive_max_requests),
+                keepalive_idle_ms: parse_flag(&flags, "keepalive-idle-ms", |_| true)?
+                    .unwrap_or(d.keepalive_idle_ms),
+                // 0.0 and 1.0 are excluded: a 0-target objective is
+                // vacuous and a 1.0 target makes every error an
+                // infinite burn rate.
+                slo_availability: parse_flag(&flags, "slo-availability", |&r: &f64| {
+                    r > 0.0 && r < 1.0
+                })?
+                .unwrap_or(d.slo_availability),
+                slo_latency_s: parse_flag(&flags, "slo-latency-ms", |&ms: &f64| {
+                    ms.is_finite() && ms > 0.0
+                })?
+                .map_or(d.slo_latency_s, |ms| ms / 1_000.0),
+                ..d
             };
             Command::Serve {
                 model,
-                addr,
-                threads: parse_threads(&flags)?,
                 quantized,
-                queue_cap,
-                batch_max,
-                batch_window_us,
-                monitoring: !no_monitoring,
-                profiling: !no_profiling,
-                drift_sample,
-                keepalive_max_requests,
-                keepalive_idle_ms,
-                slo_availability,
-                slo_latency_ms,
+                config,
             }
         }
         // `lint` and `bench-diff` have boolean flags, so they parse
@@ -991,7 +966,6 @@ USAGE:
   recipe-mine explain --model <model.json> [--threads T] <phrase>...
   recipe-mine serve   --model <model.json|model.rma> [--addr HOST:PORT]
                       [--threads T] [--quantized] [--queue-cap N]
-                      [--batch-max B] [--batch-window-us U]
                       [--no-monitoring] [--no-profiling] [--drift-sample N]
                       [--keepalive-max-requests N] [--keepalive-idle-ms MS]
                       [--slo-availability R] [--slo-latency-ms MS]
@@ -1073,8 +1047,8 @@ extract  print the structured attributes of ingredient phrases as JSON;
 explain  extract phrases with provenance recording on and print the
          decision trail that produced each entry
 serve    run the long-lived HTTP/1.1 serving layer: one acceptor plus
-         --threads shard-per-core workers micro-batching a bounded
-         request queue (503 + Retry-After when full). Endpoints:
+         --threads shard-per-core workers, each serving one request per
+         dequeue from a bounded queue (503 + Retry-After when full). Endpoints:
          POST /extract, POST /explain, GET /healthz, GET /metrics
          (windowed rates/tails + drift), GET /admin/slo, GET
          /admin/slow, POST /admin/reload (hot-swap), POST
@@ -1833,19 +1807,8 @@ mod tests {
             parsed.command,
             Command::Serve {
                 model: "m.rma".into(),
-                addr: "127.0.0.1:7878".into(),
-                threads: 0,
                 quantized: false,
-                queue_cap: 128,
-                batch_max: 8,
-                batch_window_us: 500,
-                monitoring: true,
-                profiling: true,
-                drift_sample: 8,
-                keepalive_max_requests: 64,
-                keepalive_idle_ms: 5_000,
-                slo_availability: 0.999,
-                slo_latency_ms: 250.0,
+                config: ServeConfig::default(),
             }
         );
         let parsed = parse_args(&s(&[
@@ -1859,10 +1822,6 @@ mod tests {
             "--quantized",
             "--queue-cap",
             "32",
-            "--batch-max",
-            "16",
-            "--batch-window-us",
-            "250",
             "--no-monitoring",
             "--no-profiling",
             "--drift-sample",
@@ -1881,19 +1840,20 @@ mod tests {
             parsed.command,
             Command::Serve {
                 model: "m.rma".into(),
-                addr: "0.0.0.0:9000".into(),
-                threads: 4,
                 quantized: true,
-                queue_cap: 32,
-                batch_max: 16,
-                batch_window_us: 250,
-                monitoring: false,
-                profiling: false,
-                drift_sample: 0,
-                keepalive_max_requests: 8,
-                keepalive_idle_ms: 1000,
-                slo_availability: 0.99,
-                slo_latency_ms: 100.0,
+                config: ServeConfig {
+                    addr: "0.0.0.0:9000".into(),
+                    shards: 4,
+                    queue_cap: 32,
+                    retry_after_secs: ServeConfig::default().retry_after_secs,
+                    keepalive_max_requests: 8,
+                    keepalive_idle_ms: 1000,
+                    monitoring: false,
+                    drift_sample: 0,
+                    slo_availability: 0.99,
+                    slo_latency_s: 0.1,
+                    profiling: false,
+                },
             }
         );
         assert_eq!(
@@ -1910,7 +1870,6 @@ mod tests {
         );
         for (flag, bad) in [
             ("queue-cap", "0"),
-            ("batch-max", "0"),
             ("queue-cap", "many"),
             ("keepalive-max-requests", "0"),
             ("keepalive-idle-ms", "soon"),
@@ -1930,6 +1889,34 @@ mod tests {
                     Err(ArgsError::BadValue(_, _))
                 ),
                 "{flag}={bad}"
+            );
+        }
+        // Unknown flags fail loudly instead of being dropped.
+        for (cmd, flag) in [
+            (
+                vec!["serve", "--model", "m", "--batch-max", "16"],
+                "--batch-max",
+            ),
+            (
+                vec!["serve", "--model", "m", "--batch-window-us", "250"],
+                "--batch-window-us",
+            ),
+            (
+                vec![
+                    "extract",
+                    "--model",
+                    "m.rma",
+                    "--threds",
+                    "4",
+                    "2 cups flour",
+                ],
+                "--threds",
+            ),
+        ] {
+            assert_eq!(
+                parse_args(&s(&cmd)),
+                Err(ArgsError::UnexpectedArg(flag.into())),
+                "{cmd:?}"
             );
         }
     }

@@ -124,37 +124,11 @@ pub fn run(command: &Command) -> Result<String, CliError> {
         }
         Command::Serve {
             model,
-            addr,
-            threads,
             quantized,
-            queue_cap,
-            batch_max,
-            batch_window_us,
-            monitoring,
-            profiling,
-            drift_sample,
-            keepalive_max_requests,
-            keepalive_idle_ms,
-            slo_availability,
-            slo_latency_ms,
+            config,
         } => {
-            recipe_runtime::set_global_threads(*threads);
-            serve(&ServeOpts {
-                model,
-                addr,
-                threads: *threads,
-                quantized: *quantized,
-                queue_cap: *queue_cap,
-                batch_max: *batch_max,
-                batch_window_us: *batch_window_us,
-                monitoring: *monitoring,
-                profiling: *profiling,
-                drift_sample: *drift_sample,
-                keepalive_max_requests: *keepalive_max_requests,
-                keepalive_idle_ms: *keepalive_idle_ms,
-                slo_availability: *slo_availability,
-                slo_latency_ms: *slo_latency_ms,
-            })
+            recipe_runtime::set_global_threads(config.shards);
+            serve(model, *quantized, config)
         }
         Command::BenchDiff(opts) => bench_diff(opts),
         Command::Monitor(opts) => crate::monitor::run_monitor(opts),
@@ -544,56 +518,26 @@ fn model_error(e: recipe_serve::ModelError) -> CliError {
     }
 }
 
-/// Resolved `recipe-mine serve` options (one field per CLI flag).
-struct ServeOpts<'a> {
-    model: &'a str,
-    addr: &'a str,
-    threads: usize,
-    quantized: bool,
-    queue_cap: usize,
-    batch_max: usize,
-    batch_window_us: u64,
-    monitoring: bool,
-    profiling: bool,
-    drift_sample: u64,
-    keepalive_max_requests: u32,
-    keepalive_idle_ms: u64,
-    slo_availability: f64,
-    slo_latency_ms: f64,
-}
-
 /// `recipe-mine serve`: run the HTTP serving layer over a loaded model
 /// until `POST /admin/shutdown` drains it (see `crates/serve`).
-fn serve(opts: &ServeOpts<'_>) -> Result<String, CliError> {
-    let loaded = ServeModel::load(opts.model, opts.quantized).map_err(model_error)?;
-    let cfg = recipe_serve::ServeConfig {
-        addr: opts.addr.to_string(),
-        shards: opts.threads,
-        queue_cap: opts.queue_cap,
-        batch_max: opts.batch_max,
-        batch_window_us: opts.batch_window_us,
-        monitoring: opts.monitoring,
-        profiling: opts.profiling,
-        drift_sample: opts.drift_sample,
-        keepalive_max_requests: opts.keepalive_max_requests,
-        keepalive_idle_ms: opts.keepalive_idle_ms,
-        slo_availability: opts.slo_availability,
-        slo_latency_s: opts.slo_latency_ms / 1_000.0,
-        ..recipe_serve::ServeConfig::default()
-    };
-    let server =
-        recipe_serve::Server::launch(&cfg, loaded, (opts.model.to_string(), opts.quantized))
-            .map_err(|e| CliError::Io(opts.addr.to_string(), e))?;
+fn serve(
+    model: &str,
+    quantized: bool,
+    cfg: &recipe_serve::ServeConfig,
+) -> Result<String, CliError> {
+    let loaded = ServeModel::load(model, quantized).map_err(model_error)?;
+    let server = recipe_serve::Server::launch(cfg, loaded, (model.to_string(), quantized))
+        .map_err(|e| CliError::Io(cfg.addr.clone(), e))?;
     let bound = server.local_addr();
     let shards = server.shards();
     eprintln!(
         "serving {} on http://{bound} ({shards} shards; \
          POST /admin/shutdown to drain and exit)",
-        opts.model
+        model
     );
     server.join();
     let summary = json!({
-        "served": { "addr": bound.to_string(), "model": opts.model, "shards": shards },
+        "served": { "addr": bound.to_string(), "model": model, "shards": shards },
         "shutdown": "drained",
     });
     Ok(format!(

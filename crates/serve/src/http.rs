@@ -3,7 +3,10 @@
 //! write a fixed-header response. Keep-alive follows HTTP/1.1 defaults
 //! (persistent unless `Connection: close`; HTTP/1.0 opts in with
 //! `Connection: keep-alive`), bounded by the server's per-connection
-//! request cap and idle timeout. No chunked encoding.
+//! request cap and idle timeout. No chunked encoding: a request that
+//! carries `Transfer-Encoding` is refused with `501`, and conflicting
+//! duplicate `Content-Length` values with `400`, so a body is only
+//! ever framed one way.
 //!
 //! Every read is bounded — headers are capped at [`MAX_HEAD_BYTES`]
 //! and bodies at [`MAX_BODY_BYTES`], read with `read_exact` into a
@@ -40,6 +43,8 @@ pub enum HttpError {
     HeadersTooLarge,
     /// Declared body exceeded [`MAX_BODY_BYTES`].
     BodyTooLarge,
+    /// The request carries `Transfer-Encoding`, which is not supported.
+    TransferEncoding,
     /// The peer closed before sending anything.
     Closed,
     /// Transport error mid-request.
@@ -52,6 +57,7 @@ impl fmt::Display for HttpError {
             HttpError::BadRequest(why) => write!(f, "bad request: {why}"),
             HttpError::HeadersTooLarge => write!(f, "headers exceed {MAX_HEAD_BYTES} bytes"),
             HttpError::BodyTooLarge => write!(f, "body exceeds {MAX_BODY_BYTES} bytes"),
+            HttpError::TransferEncoding => write!(f, "transfer-encoding is not supported"),
             HttpError::Closed => write!(f, "connection closed"),
             HttpError::Io(e) => write!(f, "io: {e}"),
         }
@@ -113,17 +119,23 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Request, HttpE
     }
     let version = parts.next().unwrap_or("HTTP/1.1");
     let mut keep_alive = !version.eq_ignore_ascii_case("HTTP/1.0");
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             continue;
         };
         let name = name.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
+            let n = value
                 .trim()
                 .parse()
                 .map_err(|_| bad("unparseable content-length"))?;
+            if content_length.is_some_and(|prev| prev != n) {
+                return Err(bad("conflicting content-length"));
+            }
+            content_length = Some(n);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(HttpError::TransferEncoding);
         } else if name.eq_ignore_ascii_case("connection") {
             let value = value.trim();
             if value.eq_ignore_ascii_case("close") {
@@ -133,6 +145,7 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Request, HttpE
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::BodyTooLarge);
     }
@@ -188,6 +201,7 @@ fn reason(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
@@ -269,6 +283,26 @@ mod tests {
         raw.extend_from_slice(format!("X-Pad: {}\r\n", "a".repeat(MAX_HEAD_BYTES)).as_bytes());
         raw.extend_from_slice(b"\r\n");
         assert!(matches!(parse(&raw), Err(HttpError::HeadersTooLarge)));
+    }
+
+    #[test]
+    fn rejects_transfer_encoding() {
+        let raw =
+            b"POST /extract HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nabcd\r\n0\r\n\r\n";
+        assert!(matches!(parse(raw), Err(HttpError::TransferEncoding)));
+        // Even alongside a Content-Length: the two framings would disagree.
+        let raw = b"POST /extract HTTP/1.1\r\nContent-Length: 4\r\ntransfer-encoding: identity\r\n\r\nabcd";
+        assert!(matches!(parse(raw), Err(HttpError::TransferEncoding)));
+        assert_eq!(reason(501), "Not Implemented");
+    }
+
+    #[test]
+    fn rejects_conflicting_content_lengths() {
+        let raw = b"POST /extract HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 2\r\n\r\nabcd";
+        assert!(matches!(parse(raw), Err(HttpError::BadRequest(_))));
+        // Identical repeats frame the body one way and are accepted.
+        let raw = b"POST /extract HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd";
+        assert_eq!(parse(raw).expect("parse").body, b"abcd");
     }
 
     #[test]

@@ -7,19 +7,16 @@
 //!   owns the listener and pushes accepted connections onto a bounded
 //!   queue; each worker thread drains the queue independently, so a
 //!   slow request only stalls its own shard.
-//! - **Request micro-batching.** A worker blocks for the first
-//!   connection of a batch, then keeps draining until it has
-//!   [`ServeConfig::batch_max`] connections or the
-//!   [`ServeConfig::batch_window_us`] window closes, and serves the
-//!   whole batch against one pinned model handle (amortizing the
-//!   `Arc` resolution and keeping phrase-cache shards warm).
+//! - **One request per dequeue.** A worker blocks on the queue, pins
+//!   the current model handle, and serves that one connection, so a
+//!   request's queue wait is only the time it waits for a free worker.
 //! - **Backpressure.** When the queue is full the acceptor sheds the
 //!   connection immediately with `503 + Retry-After` instead of
 //!   queueing unbounded work.
 //! - **Atomic hot-swap.** The model lives behind `RwLock<Arc<…>>`;
-//!   workers pin one `Arc` per batch, so a concurrent swap
+//!   workers pin one `Arc` per request, so a concurrent swap
 //!   ([`Server::swap_model`] or `POST /admin/reload`) never corrupts
-//!   an in-flight response — old batches finish on the old model.
+//!   an in-flight response — old requests finish on the old model.
 //! - **Graceful drain.** `POST /admin/shutdown` (or
 //!   [`Server::request_shutdown`]) stops the acceptor, closes the
 //!   queue, and lets workers drain what was already admitted. There is
@@ -72,7 +69,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Per-connection read/write timeout: a stalled client cannot hold a
 /// worker longer than this.
@@ -81,8 +78,10 @@ const STREAM_TIMEOUT: Duration = Duration::from_secs(10);
 /// Bounded size of the slowest-request exemplar table.
 const SLOW_TABLE_CAP: usize = 32;
 
-/// Server tuning knobs.
-#[derive(Debug, Clone)]
+/// Server tuning knobs. [`ServeConfig::default`] is the one place the
+/// default of each knob is written; `recipe-mine serve` flags override
+/// it field by field.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (port 0 for ephemeral).
     pub addr: String,
@@ -90,10 +89,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Bounded queue capacity (admission-control depth).
     pub queue_cap: usize,
-    /// Max connections drained into one micro-batch.
-    pub batch_max: usize,
-    /// Micro-batch fill window in microseconds.
-    pub batch_window_us: u64,
     /// `Retry-After` seconds advertised on shed responses.
     pub retry_after_secs: u32,
     /// Max requests served on one keep-alive connection before the
@@ -126,8 +121,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:7878".to_string(),
             shards: 0,
             queue_cap: 128,
-            batch_max: 8,
-            batch_window_us: 500,
             retry_after_secs: 1,
             keepalive_max_requests: 64,
             keepalive_idle_ms: 5_000,
@@ -215,8 +208,6 @@ struct Shared {
     keepalive_idle_ticks: u64,
     drift_sample: u64,
     shards: usize,
-    batch_max: usize,
-    batch_window: Duration,
     retry_after_secs: u32,
 }
 
@@ -249,15 +240,16 @@ impl Server {
         // CLI parsing validates the SLO knobs; clamp here too so a
         // programmatic config can't build a vacuous or infinite-burn
         // objective.
+        let defaults = ServeConfig::default();
         let slo_availability = if cfg.slo_availability > 0.0 && cfg.slo_availability < 1.0 {
             cfg.slo_availability
         } else {
-            0.999
+            defaults.slo_availability
         };
         let latency_slo_s = if cfg.slo_latency_s > 0.0 {
             cfg.slo_latency_s
         } else {
-            0.25
+            defaults.slo_latency_s
         };
         let slo = SloEngine::new(
             Arc::clone(&clock),
@@ -300,8 +292,6 @@ impl Server {
             keepalive_idle_ticks: cfg.keepalive_idle_ms.saturating_mul(TICKS_PER_SEC / 1_000),
             drift_sample: cfg.drift_sample,
             shards,
-            batch_max: cfg.batch_max.max(1),
-            batch_window: Duration::from_micros(cfg.batch_window_us),
             retry_after_secs: cfg.retry_after_secs,
         });
         let workers = (0..shards)
@@ -344,8 +334,8 @@ impl Server {
         self.shared.shards
     }
 
-    /// Atomically install a new model. In-flight batches finish on the
-    /// model they pinned; later batches see the new one.
+    /// Atomically install a new model. In-flight requests finish on the
+    /// model they pinned; later requests see the new one.
     pub fn swap_model(&self, model: ServeModel) {
         install_model(&self.shared, model);
     }
@@ -493,33 +483,19 @@ fn park_connection(shared: &Shared, stream: TcpStream, reused: u32) {
     lot.push(parked);
 }
 
-/// Worker shard loop: drain micro-batches and serve them against one
-/// pinned model handle per batch.
+/// Worker shard loop: one request per dequeue, served against the
+/// model pinned at dequeue time.
 fn run_worker(shared: &Shared, shard: usize) {
     recipe_obs::event::set_thread_name(&format!("serve-worker-{shard}"));
-    while let Some(first) = shared.queue.pop_blocking() {
-        let mut batch = vec![first];
-        let deadline = Instant::now() + shared.batch_window;
-        while batch.len() < shared.batch_max {
-            match shared.queue.pop_until(deadline) {
-                Some(conn) => batch.push(conn),
-                None => break,
-            }
-        }
+    while let Some(conn) = shared.queue.pop_blocking() {
         shared.metrics.queue_depth.set(shared.queue.depth() as f64);
-        shared.metrics.batch_size.record(batch.len() as f64);
-        if shared.monitoring {
-            shared.metrics.w_batch.record(batch.len() as f64);
-        }
-        // Pin the model once per batch: a concurrent hot-swap replaces
-        // the slot, not this Arc, so every response in the batch is
-        // computed against one consistent model.
+        shared.metrics.batch_size.record(1.0);
+        // A concurrent hot-swap replaces the slot, not this Arc, so the
+        // response is computed against one consistent model.
         let model = Arc::clone(&shared.model.read().unwrap_or_else(|p| p.into_inner()));
-        for conn in batch {
-            shared.metrics.begin_request();
-            serve_connection(shared, &model, conn);
-            shared.metrics.end_request();
-        }
+        shared.metrics.begin_request();
+        serve_connection(shared, &model, conn);
+        shared.metrics.end_request();
     }
 }
 
@@ -551,8 +527,12 @@ fn serve_connection(shared: &Shared, model: &ServeModel, conn: Conn) {
     };
     resp.request_id = Some(id);
     // Decide reuse before writing: the Connection header must match
-    // what the server will actually do with the socket.
-    let keep = client_keep_alive && reused + 1 < shared.keepalive_max_requests;
+    // what the server will actually do with the socket. Bytes already
+    // buffered past this request (a pipelined request) would be lost
+    // with the reader, so such a connection is closed, not parked.
+    let keep = client_keep_alive
+        && reused + 1 < shared.keepalive_max_requests
+        && reader.buffer().is_empty();
     let handled_ticks = shared.clock.now_ticks();
     let mut stream = reader.into_inner();
     let wrote = {
@@ -673,6 +653,7 @@ fn error_response(e: &http::HttpError) -> http::Response {
     let status = match e {
         http::HttpError::BadRequest(_) => 400,
         http::HttpError::HeadersTooLarge | http::HttpError::BodyTooLarge => 413,
+        http::HttpError::TransferEncoding => 501,
         http::HttpError::Closed | http::HttpError::Io(_) => 400,
     };
     http::Response::json(status, render(&json!({ "error": e.to_string() })))
@@ -984,16 +965,17 @@ mod tests {
         let cfg = ServeConfig::default();
         assert_eq!(cfg.shards, 0);
         assert!(cfg.queue_cap >= 1);
-        assert!(cfg.batch_max >= 1);
         assert!(cfg.retry_after_secs >= 1);
     }
 
     #[test]
-    fn error_responses_map_framing_errors_to_4xx() {
+    fn error_responses_map_framing_errors_to_statuses() {
         let resp = error_response(&http::HttpError::BodyTooLarge);
         assert_eq!(resp.status, 413);
         let resp = error_response(&http::HttpError::BadRequest("x".to_string()));
         assert_eq!(resp.status, 400);
+        let resp = error_response(&http::HttpError::TransferEncoding);
+        assert_eq!(resp.status, 501);
     }
 
     #[test]

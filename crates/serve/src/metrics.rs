@@ -48,7 +48,8 @@ pub struct ServeMetrics {
     /// Requests re-armed off a parked keep-alive connection (the
     /// accept was amortized across them).
     pub keepalive_reuse: Arc<Counter>,
-    /// Micro-batch sizes drained per worker wakeup.
+    /// Requests taken per worker dequeue: always 1, since each worker
+    /// serves one request per dequeue (`serve.batch.size`).
     pub batch_size: Arc<Histogram>,
     /// Queue-wait + decode + write latency per request, seconds.
     pub latency: Arc<Histogram>,
@@ -60,8 +61,6 @@ pub struct ServeMetrics {
     pub w_shed: Arc<WindowedCounter>,
     /// Windowed request latency (seconds).
     pub w_latency: Arc<WindowedHistogram>,
-    /// Windowed micro-batch sizes.
-    pub w_batch: Arc<WindowedHistogram>,
     extract: EndpointCounters,
     explain: EndpointCounters,
     healthz: EndpointCounters,
@@ -90,7 +89,6 @@ impl ServeMetrics {
             w_errors: windows.counter("serve.errors"),
             w_shed: windows.counter("serve.shed"),
             w_latency: windows.latency_histogram("serve.request.latency_s"),
-            w_batch: windows.count_histogram("serve.batch.size"),
             extract: EndpointCounters::new(&registry, "extract"),
             explain: EndpointCounters::new(&registry, "explain"),
             healthz: EndpointCounters::new(&registry, "healthz"),

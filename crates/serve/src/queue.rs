@@ -2,8 +2,7 @@
 //! admission-control heart of the server. The acceptor `try_push`es
 //! accepted connections; when the queue is full the caller sheds the
 //! request with `503 + Retry-After` instead of queueing unbounded
-//! work. Workers drain with a blocking pop for the first item of a
-//! batch and a deadline pop for the rest of the micro-batch window.
+//! work. Each worker takes one item per blocking pop.
 //!
 //! Lock poisoning is impossible to exploit here — a panicked pusher
 //! leaves the `VecDeque` in a valid state — so every acquisition maps
@@ -12,7 +11,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// Why a push was refused; carries the item back so the caller can
 /// shed it (write the 503) instead of silently dropping it.
@@ -83,32 +81,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Pop if an item arrives before `deadline`; `None` on timeout or
-    /// shutdown-and-drained. Used to fill the rest of a micro-batch.
-    pub fn pop_until(&self, deadline: Instant) -> Option<T> {
-        let mut s = self.guard();
-        loop {
-            if let Some(item) = s.items.pop_front() {
-                return Some(item);
-            }
-            if s.closed {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, timed_out) = self
-                .ready
-                .wait_timeout(s, deadline - now)
-                .unwrap_or_else(|p| p.into_inner());
-            s = guard;
-            if timed_out.timed_out() && s.items.is_empty() {
-                return None;
-            }
-        }
-    }
-
     /// Items currently queued (the queue-depth gauge reads this).
     pub fn depth(&self) -> usize {
         self.guard().items.len()
@@ -147,13 +119,6 @@ mod tests {
         assert_eq!(q.try_push(8), Err(PushError::Closed(8)));
         assert_eq!(q.pop_blocking(), Some(7));
         assert_eq!(q.pop_blocking(), None);
-    }
-
-    #[test]
-    fn pop_until_times_out_when_empty() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(4);
-        let deadline = Instant::now() + Duration::from_millis(10);
-        assert_eq!(q.pop_until(deadline), None);
     }
 
     #[test]

@@ -241,7 +241,7 @@ fn queue_full_sheds_with_503_and_retry_after() {
     let mut held = TcpStream::connect(addr).expect("connect held");
     held.write_all(b"POST /extr").expect("partial header");
     // Let the worker pop the held connection and block reading it, so
-    // its micro-batch window is closed before the flood arrives.
+    // the queue is empty before the flood arrives.
     std::thread::sleep(Duration::from_millis(300));
 
     let body = serde_json::to_string(&json!({ "phrases": ["1 cup sugar"] })).expect("body");
@@ -444,6 +444,48 @@ fn keep_alive_reuses_connection_with_fresh_request_ids() {
         "re-arms must count as keep-alive reuse"
     );
     assert_eq!(server.metrics().accepted.get(), 1, "one socket, one accept");
+    // No batching: each of the 3 requests was its own dequeue of size 1.
+    let batches = &server.metrics().batch_size;
+    assert_eq!(batches.count(), 3, "one dequeue per request");
+    assert_eq!(batches.sum(), batches.count() as f64);
+
+    server.request_shutdown();
+    server.join();
+}
+
+#[test]
+fn pipelined_requests_close_the_connection_instead_of_dropping_bytes() {
+    let corpus = corpus();
+    let pipeline = train(&corpus);
+    let bytes = model_bytes(&pipeline);
+    let server = launch(&ephemeral(1), rma_model(&bytes));
+    let addr = server.local_addr();
+
+    // Two keep-alive requests in one write: the second is already
+    // buffered by the server when the first is answered, so the server
+    // must say `Connection: close` and close rather than park the
+    // socket and lose the buffered bytes.
+    let body = serde_json::to_string(&json!({ "phrases": ["1 cup sugar"] })).expect("body");
+    let one = format!(
+        "POST /extract HTTP/1.1\r\nHost: keep\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    stream
+        .write_all(format!("{one}{one}").as_bytes())
+        .expect("send pipelined requests");
+    let (status, head, _) = read_response(&mut stream);
+    assert_eq!(status, 200);
+    assert!(
+        head.contains("Connection: close"),
+        "a pipelined connection must not be parked: {head:?}"
+    );
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("read to EOF");
+    assert!(rest.is_empty(), "nothing may follow the close: {rest:?}");
 
     server.request_shutdown();
     server.join();
