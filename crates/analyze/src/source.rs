@@ -58,13 +58,28 @@ fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if !SKIP_DIRS.contains(&name.as_ref()) && !name.starts_with('.') {
+            if !SKIP_DIRS.contains(&name.as_ref())
+                && !name.starts_with('.')
+                && !is_workspace_root(&path)
+            {
                 collect_rust_files(&path, out);
             }
         } else if name.ends_with(".rs") {
             out.push(path);
         }
     }
+}
+
+/// Whether `dir` holds a `Cargo.toml` that declares a `[workspace]`
+/// table: a separate workspace nested in the tree (e.g. a benchmark
+/// package), whose call graph is not this workspace's.
+fn is_workspace_root(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|manifest| {
+        manifest.lines().any(|line| {
+            let line = line.trim();
+            line == "[workspace]" || line.starts_with("[workspace.")
+        })
+    })
 }
 
 /// Scan one file's contents (`rel` is the path used in locations),
@@ -279,6 +294,35 @@ fn provenance_site(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nested_workspaces_are_not_scanned() {
+        let root =
+            std::env::temp_dir().join(format!("recipe_analyze_nested_ws_{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().expect("file has a parent")).expect("mkdir");
+            std::fs::write(path, text).expect("write fixture");
+        };
+        let unwrap_src = "pub fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n";
+        write("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
+        write("crates/lib/Cargo.toml", "[package]\nname = \"lib\"\n");
+        write("crates/lib/src/lib.rs", unwrap_src);
+        write(
+            "bench/Cargo.toml",
+            "[package]\nname = \"bench\"\n\n[workspace]\n",
+        );
+        write("bench/src/main.rs", unwrap_src);
+        let diags = scan_workspace(&root);
+        let _ = std::fs::remove_dir_all(&root);
+        let locations: Vec<&str> = diags.iter().map(|d| d.location.as_str()).collect();
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, "RA301");
+        assert!(
+            locations[0].starts_with("crates/lib/src/lib.rs"),
+            "{locations:?}"
+        );
+    }
 
     #[test]
     fn flags_unwrap_outside_tests() {

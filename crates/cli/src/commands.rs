@@ -198,12 +198,6 @@ impl ObsOpts {
             recipe_obs::reset();
             recipe_obs::set_enabled(true);
         }
-        if self.profile_out.is_some() {
-            recipe_obs::profile::start(
-                std::sync::Arc::new(recipe_obs::MonotonicClock),
-                "monotonic",
-            );
-        }
         if self.trace_out.is_some() {
             recipe_obs::event::start(&recipe_obs::TraceConfig {
                 sample: self.trace_sample,
@@ -246,12 +240,9 @@ impl ObsOpts {
         if !self.active() {
             return Ok(blocks);
         }
-        // Main-thread span aggregates are normally flushed on thread
-        // exit; export needs them now.
-        recipe_obs::span::flush_local();
         let mut t = recipe_obs::Telemetry::gather(extra);
         if let Some(path) = &self.profile_out {
-            let profile = recipe_obs::profile::stop();
+            let profile = recipe_obs::span::profile();
             let text = format!(
                 "{}\n",
                 serde_json::to_string_pretty(&serde_json::to_value(&profile)).expect("json")

@@ -205,7 +205,7 @@ impl Ring {
     }
 }
 
-/// Wrapper so thread exit flushes the ring, mirroring `LocalAggs`.
+/// Wrapper so thread exit flushes the ring, like the span shards.
 struct LocalRing {
     ring: RefCell<Ring>,
 }

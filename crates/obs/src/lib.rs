@@ -1,6 +1,6 @@
 //! `recipe-obs`: zero-dependency observability for the recipe pipeline.
 //!
-//! Three pieces, all std-only:
+//! Seven pieces, all std-only:
 //!
 //! 1. **Metrics registry** ([`metrics`]): named atomic [`Counter`]s
 //!    (sharded across cache lines so hot-path increments from the worker
@@ -10,12 +10,17 @@
 //!    per-pipeline phrase caches) own private [`Registry`] instances that
 //!    are merged into exported telemetry.
 //!
-//! 2. **Hierarchical spans** ([`span`]): `let _g = span!("ner.decode");`
-//!    guards that *aggregate* into a stage tree — count plus total wall
-//!    time per (path-from-root) — instead of logging per event. O(1) per
-//!    span, no allocation on the hot path after the first occurrence of a
-//!    path on a thread, and a single relaxed atomic load when tracing is
-//!    disabled.
+//! 2. **Spans and cost attribution** ([`span`], [`profile`]):
+//!    `let _g = span!("ner.decode");` guards read ticks from one
+//!    injectable [`Clock`] and *aggregate* count plus total ticks per
+//!    (path-from-root) instead of logging per event. O(1) per span, no
+//!    allocation on the hot path after the first occurrence of a path
+//!    on a thread, and a single relaxed atomic load when tracing is
+//!    disabled. That one aggregate exports as a [`Profile`] (self vs.
+//!    children, a collapsed-stack exporter, and the profile differ that
+//!    lets `bench-diff` name regressed stages) and projects to the stage
+//!    tree; an instanced [`Profiler`] fills the same cells behind the
+//!    server's `/admin/profile`.
 //!
 //! 3. **Telemetry export** ([`report`]): a serializable [`Telemetry`]
 //!    snapshot (stage tree, counters, gauges, histogram summaries,
@@ -40,12 +45,6 @@
 //!    production, virtual in tests) feeding rolling rates, windowed tail
 //!    percentiles, and the multi-window multi-burn-rate SLO engine
 //!    behind the server's `/admin/slo`.
-//!
-//! 8. **Continuous profiling** ([`profile`]): exact per-stage tick
-//!    attribution over the `span!()` sites (self vs. children), a
-//!    collapsed-stack (flamegraph-folded) exporter, an instanced
-//!    [`Profiler`] behind the server's `/admin/profile`, and the
-//!    profile differ that lets `bench-diff` name regressed stages.
 //!
 //! Observability must never perturb artifacts: nothing here influences
 //! any computed value, and aggregation (not logging) keeps the memory
@@ -111,13 +110,13 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Zero every global metric and drop all aggregated spans. Registered
-/// handles stay valid — callers holding an `Arc<Counter>` keep counting
-/// into the same (now zeroed) cells.
+/// Zero every global metric, drop all aggregated spans and restore the
+/// monotonic span clock. Registered handles stay valid — callers
+/// holding an `Arc<Counter>` keep counting into the same (now zeroed)
+/// cells.
 pub fn reset() {
     metrics::global().reset();
     span::reset();
-    profile::reset();
 }
 
 /// Declarative on/off configuration, mirroring the CLI `--trace` flag.
@@ -146,7 +145,7 @@ impl ObsConfig {
 
 /// Open an aggregating span: `let _g = span!("pipeline.extract");`.
 ///
-/// The guard records its wall time under the current thread's span path
+/// The guard records its ticks under the current thread's span path
 /// when dropped; when tracing is disabled the expansion is a single
 /// relaxed atomic load.
 #[macro_export]
@@ -157,7 +156,7 @@ macro_rules! span {
 }
 
 /// Serialises tests that touch the process-wide `ENABLED` flag or the
-/// global span map, so the crate's parallel test runner can't interleave
+/// global span cells, so the crate's parallel test runner can't interleave
 /// them.
 #[cfg(test)]
 pub(crate) fn tests_lock() -> std::sync::MutexGuard<'static, ()> {

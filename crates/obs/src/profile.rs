@@ -1,19 +1,20 @@
-//! Continuous profiling and cost attribution over the span tree.
+//! Cost attribution over stage paths.
 //!
-//! Two collectors share one data model:
+//! One data model, [`Cells`]: a path-keyed `(count, total_ticks)`
+//! aggregate. It has two producers:
 //!
-//! 1. A **process-global profiler** ([`start`] / [`stop`]) hooked into
-//!    the `span!()` sites: while active, every span records its exact
-//!    enter/exit tick pair from an injected [`Clock`], aggregated per
-//!    (path-from-root) stage exactly like the span tree — per-thread
-//!    maps, flushed on thread exit, merged under one mutex. Under a
-//!    frozen [`crate::window::VirtualClock`] the attribution is exact
-//!    and byte-reproducible.
+//! 1. The **`span!()` sites** ([`crate::span`]): every enabled span
+//!    reads one tick from the span clock on enter and one on exit and
+//!    bumps its thread's cell for the open-span path. Shards flush into
+//!    one global aggregate; [`crate::span::profile`] exports it, and the
+//!    stage tree is a projection of that export. Under a frozen
+//!    [`crate::window::VirtualClock`] the attribution is exact and
+//!    byte-reproducible.
 //!
-//! 2. An **instanced [`Profiler`]** for components that attribute cost
-//!    outside the span machinery — the server records queue/handle/write
-//!    tick deltas per endpoint into one of these and serves the snapshot
-//!    at `GET /admin/profile`.
+//! 2. An **instanced [`Profiler`]** for components that stamp ticks
+//!    themselves — the server records queue/handle/write tick deltas
+//!    per endpoint into one of these and serves the snapshot at
+//!    `GET /admin/profile`.
 //!
 //! Both export a schema-versioned [`Profile`]: a flat, path-sorted list
 //! of stages carrying `count`, `total_ticks` and `self_ticks` (total
@@ -24,23 +25,110 @@
 //! regressions so `bench-diff` can name the stage that ate the ticks,
 //! not just the percentile that moved.
 
-use crate::window::Clock;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 
 /// Version of the `profile` block layout; bumped on breaking changes.
 pub const PROFILE_SCHEMA_VERSION: u64 = 1;
 
-/// Aggregated cell for one stage path.
+/// Aggregated cost of one stage path.
 #[derive(Debug, Clone, Copy, Default)]
-struct ProfAgg {
+struct Cell {
     count: u64,
     total_ticks: u64,
+}
+
+/// Lock a mutex over [`Cells`] (or the span clock). Every update
+/// leaves the data valid, so a panic elsewhere while holding the lock
+/// cannot have corrupted it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Path-keyed cost aggregate. Paths are the static stage names from
+/// the open-span stack (or a [`Profiler::record`] literal), so a path
+/// seen before is bumped without allocating. `BTreeMap` so export
+/// order is deterministic and parents sort before their children.
+#[derive(Debug)]
+pub(crate) struct Cells(BTreeMap<Vec<&'static str>, Cell>);
+
+impl Cells {
+    pub(crate) const fn new() -> Self {
+        Cells(BTreeMap::new())
+    }
+
+    /// Add `count` observations totalling `ticks` under `path`.
+    pub(crate) fn add(&mut self, path: &[&'static str], count: u64, ticks: u64) {
+        if let Some(cell) = self.0.get_mut(path) {
+            cell.count += count;
+            cell.total_ticks += ticks;
+        } else {
+            self.0.insert(
+                path.to_vec(),
+                Cell {
+                    count,
+                    total_ticks: ticks,
+                },
+            );
+        }
+    }
+
+    /// Move every cell into `other`, leaving `self` empty.
+    pub(crate) fn drain_into(&mut self, other: &mut Cells) {
+        for (path, cell) in std::mem::take(&mut self.0) {
+            other.add(&path, cell.count, cell.total_ticks);
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// Export as a [`Profile`] whose ticks came from `clock`.
+    pub(crate) fn to_profile(&self, clock: &str) -> Profile {
+        let mut nodes: Vec<ProfileNode> = self
+            .0
+            .iter()
+            .map(|(path, cell)| ProfileNode {
+                path: path.iter().map(|s| s.to_string()).collect(),
+                count: cell.count,
+                total_ticks: cell.total_ticks,
+                self_ticks: cell.total_ticks,
+            })
+            .collect();
+        // self = total − Σ direct children (saturating: a child closed
+        // after its parent's snapshot can carry more ticks than the
+        // parent observed).
+        for i in 0..nodes.len() {
+            let child_sum: u64 = nodes
+                .iter()
+                .filter(|n| {
+                    n.path.len() == nodes[i].path.len() + 1 && n.path.starts_with(&nodes[i].path)
+                })
+                .map(|n| n.total_ticks)
+                .sum();
+            nodes[i].self_ticks = nodes[i].total_ticks.saturating_sub(child_sum);
+        }
+        // Every tick is attributed to exactly one node's self time, so
+        // the self sum is the grand total under both producers: span
+        // sites (complete trees, where it equals the root totals) and
+        // instanced `Profiler`s that record only leaf stages (no
+        // depth-1 ancestors to sum).
+        let total_ticks = nodes.iter().map(|n| n.self_ticks).sum();
+        Profile {
+            schema_version: PROFILE_SCHEMA_VERSION,
+            clock: clock.to_string(),
+            total_ticks,
+            nodes,
+        }
+    }
 }
 
 /// One stage of an exported profile: a full path from the root span
@@ -85,46 +173,6 @@ impl Default for Profile {
 }
 
 impl Profile {
-    /// Assemble a profile from aggregated cells (already path-keyed;
-    /// `BTreeMap` iteration gives the sorted order the format
-    /// requires).
-    fn from_cells(clock: &str, cells: &BTreeMap<Vec<String>, ProfAgg>) -> Self {
-        let mut nodes: Vec<ProfileNode> = cells
-            .iter()
-            .map(|(path, agg)| ProfileNode {
-                path: path.clone(),
-                count: agg.count,
-                total_ticks: agg.total_ticks,
-                self_ticks: agg.total_ticks,
-            })
-            .collect();
-        // self = total − Σ direct children (saturating: a child closed
-        // after its parent's snapshot can carry more ticks than the
-        // parent observed).
-        for i in 0..nodes.len() {
-            let child_sum: u64 = nodes
-                .iter()
-                .filter(|n| {
-                    n.path.len() == nodes[i].path.len() + 1 && n.path.starts_with(&nodes[i].path)
-                })
-                .map(|n| n.total_ticks)
-                .sum();
-            nodes[i].self_ticks = nodes[i].total_ticks.saturating_sub(child_sum);
-        }
-        // Every tick is attributed to exactly one node's self time, so
-        // the self sum is the grand total under both producers: the
-        // span-hooked profiler (complete trees, where it equals the
-        // root totals) and instanced `Profiler`s that record only leaf
-        // stages (no depth-1 ancestors to sum).
-        let total_ticks = nodes.iter().map(|n| n.self_ticks).sum();
-        Profile {
-            schema_version: PROFILE_SCHEMA_VERSION,
-            clock: clock.to_string(),
-            total_ticks,
-            nodes,
-        }
-    }
-
     /// Whether any cost was attributed.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
@@ -146,203 +194,18 @@ pub fn fold(profile: &Profile) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Process-global span-hooked profiler.
-// ---------------------------------------------------------------------
-
-/// Generation counter: odd while the global profiler is active. Bumped
-/// on every [`start`]/[`stop`] so per-thread clock caches invalidate
-/// without taking the state lock on the hot path.
-static GENERATION: AtomicU64 = AtomicU64::new(0);
-
-/// The active clock, set by [`start`]; the label travels into the
-/// exported [`Profile::clock`].
-static STATE: Mutex<Option<(Arc<dyn Clock>, String)>> = Mutex::new(None);
-
-/// Process-global aggregation for the span-hooked profiler.
-static GLOBAL_PROF: Mutex<BTreeMap<Vec<String>, ProfAgg>> = Mutex::new(BTreeMap::new());
-
-/// Per-thread aggregation, flushed to [`GLOBAL_PROF`] on thread exit —
-/// the same two-level scheme as the span tree, so worker threads never
-/// contend on the global mutex per span.
-#[derive(Default)]
-struct LocalProf {
-    map: RefCell<HashMap<Vec<&'static str>, ProfAgg>>,
-}
-
-impl LocalProf {
-    fn record(&self, path: &[&'static str], ticks: u64) {
-        let mut map = self.map.borrow_mut();
-        if let Some(agg) = map.get_mut(path) {
-            agg.count += 1;
-            agg.total_ticks += ticks;
-        } else {
-            map.insert(
-                path.to_vec(),
-                ProfAgg {
-                    count: 1,
-                    total_ticks: ticks,
-                },
-            );
-        }
-    }
-
-    fn flush(&self) {
-        let mut map = self.map.borrow_mut();
-        if map.is_empty() {
-            return;
-        }
-        let mut global = GLOBAL_PROF
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        for (path, agg) in map.drain() {
-            let key: Vec<String> = path.iter().map(|s| s.to_string()).collect();
-            let cell = global.entry(key).or_default();
-            cell.count += agg.count;
-            cell.total_ticks += agg.total_ticks;
-        }
-    }
-}
-
-impl Drop for LocalProf {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-thread_local! {
-    static LOCAL_PROF: LocalProf = LocalProf::default();
-    /// Generation-stamped clone of the active clock, so the span hot
-    /// path reads ticks without touching [`STATE`]'s lock.
-    static CACHED_CLOCK: RefCell<(u64, Option<Arc<dyn Clock>>)> = const { RefCell::new((0, None)) };
-}
-
-/// Run `f` with the active clock for generation `gen`, refreshing the
-/// thread's cache from [`STATE`] when stale. Returns `None` when the
-/// profiler stopped in between.
-fn with_clock<T>(gen: u64, f: impl FnOnce(&dyn Clock) -> T) -> Option<T> {
-    CACHED_CLOCK
-        .try_with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if cache.0 != gen || cache.1.is_none() {
-                let state = STATE
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                // Re-check under the lock: the generation may have moved
-                // again while we waited.
-                if GENERATION.load(Ordering::Acquire) != gen {
-                    return None;
-                }
-                *cache = (gen, state.as_ref().map(|(c, _)| Arc::clone(c)));
-            }
-            cache.1.as_deref().map(f)
-        })
-        .ok()
-        .flatten()
-}
-
-/// Start the global span-hooked profiler: every subsequent span on any
-/// thread attributes its exact tick cost under its stage path. Clears
-/// any previous attribution. Spans only record while
-/// [`crate::enabled`] is on (the profiler rides the same guards).
-pub fn start(clock: Arc<dyn Clock>, clock_label: &str) {
-    let mut state = STATE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    GLOBAL_PROF
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .clear();
-    let _ = LOCAL_PROF.try_with(|l| l.map.borrow_mut().clear());
-    *state = Some((clock, clock_label.to_string()));
-    // 2 keeps it odd across restarts (odd = active).
-    let gen = GENERATION.load(Ordering::Acquire);
-    GENERATION.store(gen + if gen % 2 == 0 { 1 } else { 2 }, Ordering::Release);
-}
-
-/// Whether the global profiler is collecting.
-pub fn is_active() -> bool {
-    GENERATION.load(Ordering::Acquire) % 2 == 1
-}
-
-/// Stop the global profiler and export everything attributed since
-/// [`start`]. Flushes the calling thread first; worker threads flushed
-/// when they exited.
-pub fn stop() -> Profile {
-    let label = {
-        let mut state = STATE
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let gen = GENERATION.load(Ordering::Acquire);
-        if gen % 2 == 1 {
-            GENERATION.store(gen + 1, Ordering::Release);
-        }
-        match state.take() {
-            Some((_, label)) => label,
-            None => "none".to_string(),
-        }
-    };
-    flush_local();
-    let mut global = GLOBAL_PROF
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let profile = Profile::from_cells(&label, &global);
-    global.clear();
-    profile
-}
-
-/// Flush the calling thread's profile aggregates into the global map.
-pub fn flush_local() {
-    let _ = LOCAL_PROF.try_with(|l| l.flush());
-}
-
-/// Drop all attributed cost, globally and on the calling thread, without
-/// changing whether the profiler is active.
-pub fn reset() {
-    let _ = LOCAL_PROF.try_with(|l| l.map.borrow_mut().clear());
-    GLOBAL_PROF
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .clear();
-}
-
-/// Span-enter hook: stamp the enter tick when the profiler is active.
-#[inline]
-pub(crate) fn on_enter() -> Option<u64> {
-    let gen = GENERATION.load(Ordering::Acquire);
-    if gen % 2 == 0 {
-        return None;
-    }
-    with_clock(gen, |clock| clock.now_ticks())
-}
-
-/// Span-exit hook: attribute the tick delta under `path` (the full
-/// open-span stack, this span's name last).
-#[inline]
-pub(crate) fn on_exit(path: &[&'static str], start_ticks: u64) {
-    let gen = GENERATION.load(Ordering::Acquire);
-    if gen % 2 == 0 {
-        return;
-    }
-    let Some(end) = with_clock(gen, |clock| clock.now_ticks()) else {
-        return;
-    };
-    let ticks = end.saturating_sub(start_ticks);
-    let _ = LOCAL_PROF.try_with(|l| l.record(path, ticks));
-}
-
-// ---------------------------------------------------------------------
 // Instanced profiler.
 // ---------------------------------------------------------------------
 
 /// A self-contained cost-attribution collector for components that
-/// stamp ticks themselves instead of riding the span hooks — the
+/// stamp ticks themselves instead of riding the span sites — the
 /// server's per-endpoint attribution, and deterministic tests.
 /// `record` is order-independent (a multiset sum), so snapshots are
 /// byte-identical regardless of how many threads recorded.
 #[derive(Debug)]
 pub struct Profiler {
     clock_label: String,
-    cells: Mutex<BTreeMap<Vec<String>, ProfAgg>>,
+    cells: Mutex<Cells>,
 }
 
 impl Profiler {
@@ -350,37 +213,23 @@ impl Profiler {
     pub fn new(clock_label: &str) -> Self {
         Profiler {
             clock_label: clock_label.to_string(),
-            cells: Mutex::new(BTreeMap::new()),
+            cells: Mutex::new(Cells::new()),
         }
     }
 
     /// Attribute `ticks` to stage `path` (one observation).
-    pub fn record(&self, path: &[&str], ticks: u64) {
-        let mut cells = self
-            .cells
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let key: Vec<String> = path.iter().map(|s| s.to_string()).collect();
-        let cell = cells.entry(key).or_default();
-        cell.count += 1;
-        cell.total_ticks += ticks;
+    pub fn record(&self, path: &[&'static str], ticks: u64) {
+        lock(&self.cells).add(path, 1, ticks);
     }
 
     /// Export everything recorded so far.
     pub fn snapshot(&self) -> Profile {
-        let cells = self
-            .cells
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        Profile::from_cells(&self.clock_label, &cells)
+        lock(&self.cells).to_profile(&self.clock_label)
     }
 
     /// Drop everything recorded so far.
     pub fn reset(&self) {
-        self.cells
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .clear();
+        lock(&self.cells).clear();
     }
 }
 
@@ -514,6 +363,7 @@ pub fn validate_profile(v: &Value) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::window::VirtualClock;
+    use std::sync::Arc;
 
     #[test]
     fn span_hooked_attribution_is_exact_under_virtual_clock() {
@@ -522,8 +372,7 @@ mod tests {
         crate::reset();
         let clock = Arc::new(VirtualClock::new());
         clock.set(1_000);
-        start(clock.clone(), "virtual");
-        assert!(is_active());
+        crate::span::set_clock(clock.clone(), "virtual");
         {
             let _root = crate::span::enter("extract");
             clock.advance(10);
@@ -533,10 +382,9 @@ mod tests {
             }
             clock.advance(5);
         }
-        let profile = stop();
+        let profile = crate::span::profile();
         crate::set_enabled(false);
         crate::reset();
-        assert!(!is_active());
         assert_eq!(profile.clock, "virtual");
         assert_eq!(profile.total_ticks, 45);
         assert_eq!(profile.nodes.len(), 2, "{profile:?}");
@@ -552,21 +400,26 @@ mod tests {
     }
 
     #[test]
-    fn stopped_profiler_attributes_nothing() {
+    fn reset_restores_the_monotonic_span_clock() {
         let _lock = crate::tests_lock();
         crate::set_enabled(true);
-        crate::reset();
         let clock = Arc::new(VirtualClock::new());
-        start(clock.clone(), "virtual");
-        let _ = stop();
+        crate::span::set_clock(clock.clone(), "virtual");
         {
             let _g = crate::span::enter("ghost");
             clock.advance(100);
         }
-        let profile = stop();
+        crate::reset();
+        assert!(crate::span::profile().is_empty(), "reset kept cells");
+        {
+            let _g = crate::span::enter("real");
+        }
+        let profile = crate::span::profile();
         crate::set_enabled(false);
         crate::reset();
-        assert!(profile.is_empty(), "{profile:?}");
+        assert_eq!(profile.clock, "monotonic");
+        assert_eq!(profile.nodes.len(), 1, "{profile:?}");
+        assert_eq!(profile.nodes[0].path, vec!["real"]);
     }
 
     #[test]

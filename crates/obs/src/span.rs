@@ -1,104 +1,89 @@
 //! Aggregating hierarchical spans.
 //!
 //! A span is a scope guard opened with [`enter`] (or the [`span!`]
-//! macro). Guards nest per thread: each records its wall time under the
-//! *path* of currently open span names, and identical paths aggregate
-//! into a single `(count, total time)` cell rather than producing one
-//! record per event. That keeps memory O(distinct paths) — independent
-//! of corpus size — and, because nothing is ever logged in between,
-//! tracing cannot reorder or interleave any observable output.
+//! macro). Guards nest per thread: each reads one tick from the span
+//! clock on enter and one on exit and adds the difference to a
+//! `(count, total_ticks)` cell keyed by the *path* of currently open
+//! span names, rather than producing one record per event. That keeps
+//! memory O(distinct paths) — independent of corpus size — and,
+//! because nothing is ever logged in between, tracing cannot reorder or
+//! interleave any observable output.
 //!
-//! Aggregation is two-level: each thread accumulates into a private map
-//! (no synchronisation per span) and flushes it into the process-global
-//! map when the thread exits — the runtime's scoped workers exit at the
-//! end of every parallel call, so their data is merged by the time the
-//! caller regains control. The owning thread flushes explicitly via
-//! [`stage_tree`] / [`flush_local`] when telemetry is gathered.
+//! Aggregation is two-level: each thread accumulates into a private
+//! shard (no synchronisation per span) and flushes it into the
+//! process-global cells when the thread exits — the runtime's scoped
+//! workers exit at the end of every parallel call, so their data is
+//! merged by the time the caller regains control. The owning thread
+//! flushes explicitly via [`profile`] / [`stage_tree`] /
+//! [`flush_local`] when telemetry is gathered.
+//!
+//! The global cells are the only span aggregate: [`profile`] exports
+//! them as a [`Profile`], and [`stage_tree`] is a projection of that
+//! profile. Ticks come from [`MonotonicClock`] unless a test installs
+//! another clock with [`set_clock`].
 //!
 //! [`span!`]: crate::span!
 
+use crate::profile::{lock, Cells, Profile};
+use crate::window::{Clock, MonotonicClock, TICKS_PER_SEC};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
-/// Aggregated cell for one span path.
-#[derive(Debug, Clone, Copy, Default)]
-struct SpanAgg {
-    count: u64,
-    total_ns: u64,
-}
+/// Process-global cells, fed by thread shards.
+static CELLS: Mutex<Cells> = Mutex::new(Cells::new());
 
-/// Process-global aggregation, keyed by the full path from the root
-/// span. `BTreeMap` so export order is deterministic and parents sort
-/// before their children.
-static GLOBAL_SPANS: Mutex<BTreeMap<Vec<&'static str>, SpanAgg>> = Mutex::new(BTreeMap::new());
+/// A clock installed by [`set_clock`], with its export label; `None`
+/// means [`MonotonicClock`].
+static CLOCK: Mutex<Option<(Arc<dyn Clock>, String)>> = Mutex::new(None);
 
-/// Per-thread aggregation, flushed to [`GLOBAL_SPANS`] on thread exit.
-#[derive(Default)]
-struct LocalAggs {
-    map: RefCell<HashMap<Vec<&'static str>, SpanAgg>>,
-}
+/// Whether [`CLOCK`] holds an installed clock, so spans under the
+/// default clock never touch its lock. It publishes nothing: the clock
+/// itself is read under the lock.
+static INSTALLED: AtomicBool = AtomicBool::new(false);
 
-impl LocalAggs {
-    fn record(&self, path: &[&'static str], elapsed_ns: u64) {
-        let mut map = self.map.borrow_mut();
-        if let Some(agg) = map.get_mut(path) {
-            agg.count += 1;
-            agg.total_ns += elapsed_ns;
-        } else {
-            map.insert(
-                path.to_vec(),
-                SpanAgg {
-                    count: 1,
-                    total_ns: elapsed_ns,
-                },
-            );
+fn now_ticks() -> u64 {
+    if INSTALLED.load(Ordering::Relaxed) {
+        if let Some((clock, _)) = &*lock(&CLOCK) {
+            return clock.now_ticks();
         }
     }
-
-    fn flush(&self) {
-        let mut map = self.map.borrow_mut();
-        if map.is_empty() {
-            return;
-        }
-        let mut global = GLOBAL_SPANS
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        for (path, agg) in map.drain() {
-            let cell = global.entry(path).or_default();
-            cell.count += agg.count;
-            cell.total_ns += agg.total_ns;
-        }
-    }
+    MonotonicClock.now_ticks()
 }
 
-impl Drop for LocalAggs {
+/// One thread's open spans (root first) and not-yet-flushed cells.
+struct Shard {
+    stack: Vec<&'static str>,
+    cells: Cells,
+}
+
+impl Drop for Shard {
     fn drop(&mut self) {
-        self.flush();
+        if !self.cells.is_empty() {
+            self.cells.drain_into(&mut lock(&CELLS));
+        }
     }
 }
 
 thread_local! {
-    /// Names of the spans currently open on this thread, root first.
-    static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-    /// This thread's aggregation map; flushed to the global map on drop.
-    static LOCAL: LocalAggs = LocalAggs::default();
+    static SHARD: RefCell<Shard> = const {
+        RefCell::new(Shard {
+            stack: Vec::new(),
+            cells: Cells::new(),
+        })
+    };
 }
 
 /// Guard returned by [`enter`]; records on drop. Inert (holds no start
-/// time) when tracing was disabled at entry. `traced` remembers whether
+/// tick) when tracing was disabled at entry. `traced` remembers whether
 /// the event tracer sampled this span's begin event, so exactly the
 /// matching end event is emitted on drop.
 #[must_use = "a span only measures the scope the guard lives in"]
 #[derive(Debug)]
 pub struct SpanGuard {
-    start: Option<Instant>,
+    start: Option<u64>,
     traced: bool,
-    /// Enter tick from the global profiler's clock, when it was active
-    /// at entry; the exit hook attributes the delta under the path.
-    prof_start: Option<u64>,
 }
 
 /// Open a span named `name` under the thread's currently open spans.
@@ -112,16 +97,26 @@ pub fn enter(name: &'static str) -> SpanGuard {
         return SpanGuard {
             start: None,
             traced: false,
-            prof_start: None,
         };
     }
-    STACK.with(|s| s.borrow_mut().push(name));
+    enter_enabled(name)
+}
+
+/// [`enter`] with tracing on, kept out of line so the disabled check
+/// stays a load and a branch at every site.
+fn enter_enabled(name: &'static str) -> SpanGuard {
+    // The shard is gone during thread teardown; such late spans have
+    // nowhere to aggregate.
+    if SHARD.try_with(|s| s.borrow_mut().stack.push(name)).is_err() {
+        return SpanGuard {
+            start: None,
+            traced: false,
+        };
+    }
     let traced = crate::event::on_span_enter(name);
-    let prof_start = crate::profile::on_enter();
     SpanGuard {
-        start: Some(Instant::now()),
+        start: Some(now_ticks()),
         traced,
-        prof_start,
     }
 }
 
@@ -130,40 +125,57 @@ impl Drop for SpanGuard {
         let Some(start) = self.start else {
             return;
         };
-        let elapsed_ns = start.elapsed().as_nanos() as u64;
-        STACK.with(|s| {
-            let mut stack = s.borrow_mut();
+        let ticks = now_ticks().saturating_sub(start);
+        let _ = SHARD.try_with(|s| {
+            let mut guard = s.borrow_mut();
+            let shard = &mut *guard;
             if self.traced {
-                if let Some(name) = stack.last() {
+                if let Some(name) = shard.stack.last() {
                     crate::event::on_span_exit(name);
                 }
             }
-            // LOCAL may already be gone during thread teardown; spans
-            // closing that late have nowhere to aggregate, so drop them.
-            let _ = LOCAL.try_with(|l| l.record(&stack, elapsed_ns));
-            if let Some(prof_start) = self.prof_start {
-                crate::profile::on_exit(&stack, prof_start);
-            }
-            stack.pop();
+            shard.cells.add(&shard.stack, 1, ticks);
+            shard.stack.pop();
         });
     }
 }
 
-/// Flush the calling thread's span aggregates into the global map.
-/// Worker threads flush automatically on exit; the owning thread calls
-/// this (via [`stage_tree`]) before exporting.
-pub fn flush_local() {
-    let _ = LOCAL.try_with(|l| l.flush());
-    crate::profile::flush_local();
+/// Replace the tick source of every span (default [`MonotonicClock`];
+/// a test installs a [`crate::window::VirtualClock`]) and drop all
+/// aggregated spans, since ticks of two clocks do not add. `label`
+/// becomes [`Profile::clock`]. Install with no spans open; [`reset`]
+/// restores the default.
+pub fn set_clock(clock: Arc<dyn Clock>, label: &str) {
+    reset();
+    *lock(&CLOCK) = Some((clock, label.to_string()));
+    INSTALLED.store(true, Ordering::Relaxed);
 }
 
-/// Drop every aggregated span, globally and on the calling thread.
+/// Flush the calling thread's span aggregates into the global cells.
+/// Worker threads flush automatically on exit; the owning thread calls
+/// this (via [`profile`] / [`stage_tree`]) before exporting.
+pub fn flush_local() {
+    let _ = SHARD.try_with(|s| s.borrow_mut().cells.drain_into(&mut lock(&CELLS)));
+}
+
+/// Drop every aggregated span, globally and on the calling thread, and
+/// restore the [`MonotonicClock`].
 pub fn reset() {
-    let _ = LOCAL.try_with(|l| l.map.borrow_mut().clear());
-    GLOBAL_SPANS
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .clear();
+    let _ = SHARD.try_with(|s| s.borrow_mut().cells.clear());
+    lock(&CELLS).clear();
+    INSTALLED.store(false, Ordering::Relaxed);
+    *lock(&CLOCK) = None;
+}
+
+/// Export the aggregated spans as a [`Profile`] labelled with the span
+/// clock. Flushes the calling thread first.
+pub fn profile() -> Profile {
+    flush_local();
+    let label = match &*lock(&CLOCK) {
+        Some((_, label)) => label.clone(),
+        None => "monotonic".to_string(),
+    };
+    lock(&CELLS).to_profile(&label)
 }
 
 /// One node of the exported stage tree.
@@ -177,28 +189,25 @@ pub struct StageNode {
     pub count: u64,
     /// Total wall time of spans closed at this path, summed across
     /// threads — on worker threads this approximates busy (CPU) time
-    /// rather than elapsed time.
+    /// rather than elapsed time. Tick resolution (µs).
     pub wall_s: f64,
     /// Child stages, sorted by name.
     pub children: Vec<StageNode>,
 }
 
 /// Export the aggregated spans as a stage tree (children sorted by
-/// name). Flushes the calling thread first.
+/// name): the nesting of [`profile`]'s path-sorted nodes, with
+/// `wall_s = total_ticks / TICKS_PER_SEC`.
 pub fn stage_tree() -> Vec<StageNode> {
-    flush_local();
-    let global = GLOBAL_SPANS
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let mut roots: Vec<StageNode> = Vec::new();
-    for (path, agg) in global.iter() {
+    for node in profile().nodes {
         let mut level = &mut roots;
-        for (depth, name) in path.iter().enumerate() {
+        for (depth, name) in node.path.iter().enumerate() {
             let pos = match level.iter().position(|n| n.name == *name) {
                 Some(p) => p,
                 None => {
                     level.push(StageNode {
-                        name: name.to_string(),
+                        name: name.clone(),
                         count: 0,
                         wall_s: 0.0,
                         children: Vec::new(),
@@ -206,9 +215,9 @@ pub fn stage_tree() -> Vec<StageNode> {
                     level.len() - 1
                 }
             };
-            if depth == path.len() - 1 {
-                level[pos].count += agg.count;
-                level[pos].wall_s += agg.total_ns as f64 / 1e9;
+            if depth + 1 == node.path.len() {
+                level[pos].count = node.count;
+                level[pos].wall_s = node.total_ticks as f64 / TICKS_PER_SEC as f64;
             }
             level = &mut level[pos].children;
         }

@@ -518,7 +518,6 @@ fn serve_connection(shared: &Shared, model: &ServeModel, conn: Conn) {
     let mut reader = BufReader::new(stream);
     let (mut resp, client_keep_alive, path) = match http::read_request(&mut reader) {
         Ok(req) => {
-            let _span = recipe_obs::span!("serve.handle");
             let resp = handle_request(shared, model, &req);
             (resp, req.keep_alive, req.path)
         }
@@ -535,10 +534,7 @@ fn serve_connection(shared: &Shared, model: &ServeModel, conn: Conn) {
         && reader.buffer().is_empty();
     let handled_ticks = shared.clock.now_ticks();
     let mut stream = reader.into_inner();
-    let wrote = {
-        let _span = recipe_obs::span!("serve.write");
-        http::write_response(&mut stream, &resp, keep).is_ok()
-    };
+    let wrote = http::write_response(&mut stream, &resp, keep).is_ok();
     let done_ticks = shared.clock.now_ticks();
     // Resolved before `path` moves into the slow-table exemplar below.
     let endpoint = profile_endpoint(&path);

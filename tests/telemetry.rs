@@ -299,10 +299,9 @@ fn profile_export_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn span_hooked_profile_is_deterministic_under_frozen_virtual_clock() {
-    // The global span-hooked profiler under a frozen VirtualClock:
-    // every span closes with a zero-tick delta, so the exported profile
-    // is a pure function of the span paths taken — byte-identical
-    // whatever the worker count.
+    // Span sites under a frozen VirtualClock: every span closes with a
+    // zero-tick delta, so the exported profile is a pure function of
+    // the span paths taken — byte-identical whatever the worker count.
     let _lock = obs_lock();
     let mut json: Vec<String> = Vec::new();
     for &threads in &[1usize, 4, 8] {
@@ -310,14 +309,14 @@ fn span_hooked_profile_is_deterministic_under_frozen_virtual_clock() {
         recipe_obs::set_enabled(true);
         let clock = std::sync::Arc::new(recipe_obs::window::VirtualClock::new());
         clock.set(41 * recipe_obs::window::TICKS_PER_SEC);
-        recipe_obs::profile::start(clock, "virtual");
+        recipe_obs::span::set_clock(clock, "virtual");
         let items: Vec<u64> = (0..512).collect();
         let rt = Runtime::new(threads);
         rt.par_map(&items, |_, &i| {
             let _outer = recipe_obs::span::enter("extract");
             let _inner = recipe_obs::span::enter(if i % 2 == 0 { "parse" } else { "decode" });
         });
-        let profile = recipe_obs::profile::stop();
+        let profile = recipe_obs::span::profile();
         recipe_obs::set_enabled(false);
         recipe_obs::reset();
         assert_eq!(profile.clock, "virtual");
@@ -331,6 +330,93 @@ fn span_hooked_profile_is_deterministic_under_frozen_virtual_clock() {
     }
     assert_eq!(json[0], json[1], "1 vs 4 workers");
     assert_eq!(json[0], json[2], "1 vs 8 workers");
+}
+
+/// Walk a stage tree depth-first, yielding `(path, node)` pairs.
+fn stage_paths(
+    nodes: &[recipe_obs::StageNode],
+    prefix: &mut Vec<String>,
+    out: &mut Vec<(Vec<String>, recipe_obs::StageNode)>,
+) {
+    for n in nodes {
+        prefix.push(n.name.clone());
+        out.push((prefix.clone(), n.clone()));
+        stage_paths(&n.children, prefix, out);
+        prefix.pop();
+    }
+}
+
+#[test]
+fn stage_tree_is_a_projection_of_the_span_profile() {
+    // One aggregate behind both exports: at every worker count, each
+    // stage-tree node that closed a span carries the profile's count
+    // at the same path, and nodes that only ever appeared as ancestors
+    // are the ones without a profile entry.
+    let _lock = obs_lock();
+    let corpus = RecipeCorpus::generate(&CorpusSpec::tiny(13));
+    let pipeline = TrainedPipeline::train(&corpus, &PipelineConfig::fast());
+    for &threads in &[1usize, 4, 8] {
+        recipe_obs::reset();
+        recipe_obs::set_enabled(true);
+        let _ = pipeline.model_recipes(&corpus.recipes, &Runtime::new(threads));
+        let profile = recipe_obs::span::profile();
+        let tree = recipe_obs::stage_tree();
+        recipe_obs::set_enabled(false);
+        recipe_obs::reset();
+
+        assert_eq!(profile.clock, "monotonic");
+        assert!(!profile.is_empty(), "no spans at {threads} threads");
+        let mut nodes = Vec::new();
+        stage_paths(&tree, &mut Vec::new(), &mut nodes);
+        let mut matched = 0;
+        for (path, node) in &nodes {
+            match profile.nodes.iter().find(|p| &p.path == path) {
+                Some(p) => {
+                    matched += 1;
+                    assert_eq!(node.count, p.count, "{path:?} at {threads} threads");
+                }
+                None => assert_eq!(node.count, 0, "{path:?} at {threads} threads"),
+            }
+        }
+        assert_eq!(matched, profile.nodes.len(), "at {threads} threads");
+    }
+
+    // Under a virtual clock advanced inside the spans, the tree's wall
+    // time is exactly the profile's ticks (tick counts chosen so the
+    // µs → s → µs round trip is exact in f64).
+    recipe_obs::reset();
+    recipe_obs::set_enabled(true);
+    let clock = std::sync::Arc::new(recipe_obs::window::VirtualClock::new());
+    recipe_obs::span::set_clock(clock.clone(), "virtual");
+    for _ in 0..3 {
+        let _root = recipe_obs::span::enter("extract");
+        clock.advance(10);
+        {
+            let _child = recipe_obs::span::enter("ner.decode");
+            clock.advance(1_250_000);
+        }
+        clock.advance(5);
+    }
+    let profile = recipe_obs::span::profile();
+    let tree = recipe_obs::stage_tree();
+    recipe_obs::set_enabled(false);
+    recipe_obs::reset();
+    let mut nodes = Vec::new();
+    stage_paths(&tree, &mut Vec::new(), &mut nodes);
+    assert_eq!(nodes.len(), 2, "{tree:?}");
+    let want = [(3, 3_750_045), (3, 3_750_000)];
+    for ((path, node), (count, ticks)) in nodes.iter().zip(want) {
+        let p = profile
+            .nodes
+            .iter()
+            .find(|p| &p.path == path)
+            .expect("profile node for every tree node");
+        assert_eq!((p.count, p.total_ticks), (count, ticks), "{path:?}");
+        assert_eq!(node.count, count, "{path:?}");
+        let tps = recipe_obs::TICKS_PER_SEC as f64;
+        assert_eq!(node.wall_s, ticks as f64 / tps, "{path:?}");
+        assert_eq!(node.wall_s * tps, ticks as f64, "{path:?}");
+    }
 }
 
 #[test]
