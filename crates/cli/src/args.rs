@@ -75,7 +75,7 @@ pub enum Command {
     /// phrase with provenance recording on and print the per-decision
     /// trail (Viterbi margins, cache origin, dictionary votes).
     Explain {
-        /// Trained artifact path.
+        /// Trained artifact path (JSON pipeline or `.rma`).
         model: String,
         /// Ingredient phrases to explain.
         phrases: Vec<String>,
@@ -963,7 +963,7 @@ USAGE:
                       [--trace-out <trace.json>] [--trace-sample R]
                       [--profile-out <profile.json>]
                       [--explain] <recipe.txt>...
-  recipe-mine explain --model <model.json> [--threads T] <phrase>...
+  recipe-mine explain --model <model.json|model.rma> [--threads T] <phrase>...
   recipe-mine serve   --model <model.json|model.rma> [--addr HOST:PORT]
                       [--threads T] [--quantized] [--queue-cap N]
                       [--no-monitoring] [--no-profiling] [--drift-sample N]

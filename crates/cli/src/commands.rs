@@ -644,9 +644,11 @@ fn extract(
 
 /// `recipe-mine explain`: extract each phrase with provenance recording
 /// on and print the per-phrase decision trail (per-token Viterbi
-/// margins, cache hit/miss origin, dictionary votes).
+/// margins, cache hit/miss origin, dictionary votes). Loads JSON and
+/// `.rma` models alike, through the same loader as `extract` and the
+/// server's `POST /explain`.
 fn explain(model: &str, phrases: &[String]) -> Result<String, CliError> {
-    let pipeline = TrainedPipeline::load(model)?;
+    let pipeline = ServeModel::load(model, false).map_err(model_error)?;
     let _guard = provenance_lock();
     let mut rows = Vec::new();
     for p in phrases {
@@ -1710,6 +1712,17 @@ mod tests {
         let json_v: serde_json::Value = serde_json::from_str(&from_json).unwrap();
         let rma_v: serde_json::Value = serde_json::from_str(&from_rma).unwrap();
         assert_eq!(json_v["results"], rma_v["results"]);
+
+        // `explain` loads the .rma too, with the same decision trail.
+        let explain = |model: &str| {
+            run(&Command::Explain {
+                model: model.to_string(),
+                phrases: phrases.clone(),
+                threads: 0,
+            })
+            .unwrap()
+        };
+        assert_eq!(explain(&model), explain(&rma));
 
         // The quantized kernels load and produce well-formed entries.
         let quantized = run(&Command::Extract {

@@ -281,9 +281,30 @@ impl ArtifactPipeline {
     /// Structural validation is O(sections); `quantized` selects the
     /// i16 decode kernels for both NER models.
     pub fn from_bytes(bytes: Arc<[u8]>, quantized: bool) -> Result<Self, ArtifactPipelineError> {
+        Self::open(Artifact::parse(bytes)?, quantized)
+    }
+
+    /// Read and open a `.rma` file, including the O(bytes) CRC pass —
+    /// file bytes are untrusted on cold open. The checksums are verified
+    /// before any view is opened, so bit-rot surfaces as a CRC error and
+    /// never reaches a view's loader. Use [`ArtifactPipeline::from_bytes`]
+    /// to skip the integrity pass for bytes that were already verified.
+    pub fn load(path: impl AsRef<Path>, quantized: bool) -> Result<Self, ArtifactPipelineError> {
+        let artifact = Artifact::parse(std::fs::read(path)?.into())?;
+        {
+            let _span = recipe_obs::span!("artifact.crc_verify");
+            artifact.verify_crc()?;
+        }
+        let loaded = Self::open(artifact, quantized)?;
+        let registry = loaded.inference.metrics_registry();
+        registry.counter("artifact.crc_verifies").inc();
+        Ok(loaded)
+    }
+
+    /// Open the model views over a structurally parsed container.
+    fn open(artifact: Artifact, quantized: bool) -> Result<Self, ArtifactPipelineError> {
         let _span = recipe_obs::span!("artifact.load");
-        let total_len = bytes.len();
-        let artifact = Artifact::parse(bytes)?;
+        let total_len = artifact.buf().len();
         let ingredient = NerView::from_artifact(&artifact, KIND_INGREDIENT_NER, quantized)?;
         let instruction = NerView::from_artifact(&artifact, KIND_INSTRUCTION_NER, quantized)?;
         let pos = PosView::from_artifact(&artifact, KIND_POS)?;
@@ -302,17 +323,6 @@ impl ArtifactPipeline {
             inference,
             artifact,
         })
-    }
-
-    /// Read and open a `.rma` file, including the O(bytes) CRC pass —
-    /// file bytes are untrusted on cold open. Use
-    /// [`ArtifactPipeline::from_bytes`] to skip the integrity pass for
-    /// bytes that were already verified.
-    pub fn load(path: impl AsRef<Path>, quantized: bool) -> Result<Self, ArtifactPipelineError> {
-        let bytes = std::fs::read(path)?;
-        let loaded = Self::from_bytes(bytes.into(), quantized)?;
-        loaded.verify_crc()?;
-        Ok(loaded)
     }
 
     /// Run the O(bytes) CRC-32 pass over every section payload.
@@ -470,6 +480,33 @@ mod tests {
         assert_eq!(drift_margin_bucket(0.26), 1);
         assert_eq!(drift_margin_bucket(1e9), DRIFT_MARGIN_BOUNDS.len());
         assert!(DriftReference::decode(b"not json").is_none());
+    }
+
+    #[test]
+    fn bit_rot_in_a_label_name_fails_load_instead_of_panicking() {
+        let (_corpus, pipeline) = trained();
+        let mut bytes = artifact_bytes(&pipeline).expect("serialize");
+        // Overwrite the label name "UNIT" with "NAME" (same length), so
+        // the inventory repeats a name; the CRC is left stale.
+        let art = Artifact::parse(bytes.clone().into()).expect("parse");
+        let names = art
+            .section(KIND_INGREDIENT_NER + recipe_ner::artifact::section::LABEL_NAMES)
+            .expect("label-name section");
+        let at = bytes[names.clone()]
+            .windows(4)
+            .position(|w| w == b"UNIT")
+            .expect("UNIT label");
+        bytes[names.start + at..names.start + at + 4].copy_from_slice(b"NAME");
+        let dir = std::env::temp_dir().join("recipe_artifact_bitrot_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.rma");
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = ArtifactPipeline::load(&path, false);
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(loaded, Err(ArtifactPipelineError::Format(_))),
+            "{loaded:?}"
+        );
     }
 
     #[test]

@@ -1,11 +1,15 @@
-//! The compiled inference layer: frozen CSR models plus a bounded,
+//! The compiled inference layer: frozen models plus a bounded,
 //! deterministic phrase-level memoization cache.
 //!
-//! A trained [`crate::pipeline::TrainedPipeline`] carries an [`Inference`]
-//! bundle built at train/load time. It freezes the ingredient NER, the
-//! instruction NER and the POS tagger into their compiled sparse forms
-//! (see `recipe_ner::compiled` and `recipe_tagger::compiled`) and fronts
-//! the two hottest per-phrase computations with memoization caches:
+//! An [`Inference`] bundle holds the ingredient NER, the instruction NER
+//! and the POS tagger in one of two frozen forms: compiled in memory
+//! into sparse CSR tables (a trained or JSON-loaded
+//! [`crate::pipeline::TrainedPipeline`]), or zero-copy views over `.rma`
+//! artifact bytes ([`crate::artifact::ArtifactPipeline`]). Both forms
+//! decode through one kernel per model family — `recipe_ner::compiled`
+//! for Viterbi, `recipe_tagger::compiled::tag_into` for POS — so they
+//! differ only in how table entries are read. The bundle fronts the two
+//! hottest per-phrase computations with memoization caches:
 //!
 //! * **ingredient cache** — preprocessed ingredient phrase → parsed
 //!   [`IngredientEntry`]. Keys are the preprocessed (lowercased,
@@ -31,7 +35,9 @@
 //! Decode scratch (Viterbi buffers, feature-id buffers, tag rows) lives in
 //! thread-locals: the deterministic runtime's workers have no init hook,
 //! and a thread-local arena gives exactly the once-per-worker reuse the
-//! compiled decoders are designed for.
+//! decode kernels are designed for. One NER scratch serves both NER
+//! models (different label counts) and both backends; the kernel resizes
+//! every buffer per call, so sharing it never changes a decode.
 
 use crate::model::{CookingEvent, IngredientEntry};
 use crate::pipeline::entry_from_tagged;
@@ -39,7 +45,7 @@ use recipe_ner::{
     CompiledSequenceModel, DecodeScratch, IngredientTag, InstructionTag, LabelSet, NerView,
     SequenceModel,
 };
-use recipe_tagger::{CompiledPosTagger, PennTag, PosTagger, PosView, TagScratch};
+use recipe_tagger::{tag_into, CompiledPosTagger, PennTag, PosTagger, PosView, TagScratch};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -230,9 +236,9 @@ impl NerBackend {
 
     /// Predict dense label ids into `out`, reusing `scratch`.
     ///
-    /// Pure dispatch: the span and provenance hooks live in the decode
-    /// kernels this delegates to; external callers go through
-    /// [`Inference`].
+    /// Pure dispatch: both arms run the same decode kernel, which holds
+    /// the provenance hooks (the span is opened by each
+    /// `predict_ids_into`); external callers go through [`Inference`].
     pub(crate) fn predict_ids(
         &self,
         tokens: &[String],
@@ -269,12 +275,12 @@ pub enum PosBackend {
 impl PosBackend {
     /// Tag a tokenized sentence into `out`, reusing `scratch`.
     ///
-    /// Pure dispatch: the span lives in the tag kernels this delegates
+    /// Pure dispatch: the span lives in the tag kernel this delegates
     /// to; external callers go through [`Inference`].
     pub(crate) fn tag(&self, words: &[String], scratch: &mut TagScratch, out: &mut Vec<PennTag>) {
         match self {
-            PosBackend::Compiled(t) => t.tag_into(words, scratch, out),
-            PosBackend::Artifact(v) => v.tag_into(words, scratch, out),
+            PosBackend::Compiled(t) => tag_into(t, words, scratch, out),
+            PosBackend::Artifact(v) => tag_into(v, words, scratch, out),
         }
     }
 }

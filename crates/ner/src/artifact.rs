@@ -5,7 +5,7 @@
 //! A sequence model occupies a contiguous block of section kinds
 //! starting at a caller-chosen `base` (the ingredient and instruction
 //! models share one container under different bases). The f64 sections
-//! mirror [`CompiledParams`] exactly — same CSR layout, same values —
+//! mirror [`crate::CompiledParams`] exactly — same CSR layout, same values —
 //! so [`NerView`] decoding is bitwise-identical to the in-process
 //! compiled path. The `Q_*` sections add fixed-point i16 variants of
 //! the emission and transition tables with per-row scale factors; the
@@ -14,31 +14,38 @@
 //!
 //! # Byte-identity with [`CompiledSequenceModel`]
 //!
+//! [`NerView`] is the second implementation of the decode kernel's
+//! `NerTable` trait (see [`crate::compiled`]): it supplies the byte
+//! reads, and the encode and Viterbi loops are the compiled model's,
+//! shared.
+//!
 //! * The feature string table is sorted for binary search, but a
 //!   parallel id array maps each string back to its original interner
 //!   id, so encoded id sets — and therefore emission summation order —
 //!   match [`crate::encode::encode_tokens`] exactly.
-//! * The f64 emission/transition kernels replicate the compiled loops
-//!   verbatim (same iteration order, strict `>` first-best ties).
+//! * The f64 emission row sums the CSR entries in the compiled order;
+//!   transition, start and end weights are the compiled values.
 //! * Encoding streams through the same [`FeatureExtractor`] with the
 //!   config flags recorded in the meta section.
 //!
 //! # Corruption posture
 //!
 //! [`NerView::from_artifact`] checks every section length against the
-//! counts in the meta section (O(sections), not O(weights)); decode
-//! kernels additionally clamp CSR ranges and label ids so a payload
-//! that was corrupted *after* structural validation degrades to wrong
-//! scores rather than a panic on the serving path. Callers wanting
-//! hard integrity run [`recipe_artifact::Artifact::verify_crc`] first.
+//! counts in the meta section (O(sections), not O(weights)) and rejects
+//! an empty or repeated label inventory; the table reads additionally
+//! clamp CSR ranges and label ids so a payload that was corrupted
+//! *after* structural validation degrades to wrong scores rather than a
+//! panic on the serving path. Callers wanting hard integrity run
+//! [`recipe_artifact::Artifact::verify_crc`] first.
 
-use crate::compiled::{decode_metrics, row_margin, CompiledSequenceModel, DecodeScratch};
+use crate::compiled::{decode_into, CompiledSequenceModel, DecodeScratch, NerTable};
 use crate::features::{FeatureConfig, FeatureExtractor};
 use crate::labels::LabelSet;
 use recipe_artifact::{
     put_f64, put_i16, put_u32, read_f64, read_i16, read_u32, write_str_table, Artifact,
     ArtifactError, ArtifactWriter, StrTable,
 };
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -280,14 +287,16 @@ impl NerView {
         if weights.len() != nnz * 8 {
             return Err(ArtifactError::Malformed("ner CSR weights size"));
         }
-        let trans = art.require_section(base + section::TRANS)?;
-        if trans.len() != l * l * 8 {
-            return Err(ArtifactError::Malformed("ner transition block size"));
-        }
+        // Start/end first: they bound `l` by the section sizes before
+        // the `l * l` products below are formed.
         let start = art.require_section(base + section::START)?;
         let end = art.require_section(base + section::END)?;
         if start.len() != l * 8 || end.len() != l * 8 {
             return Err(ArtifactError::Malformed("ner start/end block size"));
+        }
+        let trans = art.require_section(base + section::TRANS)?;
+        if trans.len() != l * l * 8 {
+            return Err(ArtifactError::Malformed("ner transition block size"));
         }
 
         let label_names = art.require_section(base + section::LABEL_NAMES)?;
@@ -297,6 +306,13 @@ impl NerView {
             return Err(ArtifactError::Malformed("ner label-name count"));
         }
         let owned: Vec<String> = (0..l).map(|i| names.at(i).to_string()).collect();
+        if owned.is_empty() {
+            return Err(ArtifactError::Malformed("ner label inventory is empty"));
+        }
+        let mut seen = BTreeSet::new();
+        if !owned.iter().all(|name| seen.insert(name.as_str())) {
+            return Err(ArtifactError::Malformed("ner duplicate label name"));
+        }
         let labels = LabelSet::new(&owned);
 
         let features = art.require_section(base + section::FEATURES)?;
@@ -364,76 +380,6 @@ impl NerView {
         self.quantized
     }
 
-    /// Look up a feature string: binary search in the sorted table,
-    /// then map back to the original interner id.
-    #[inline]
-    fn feature_id(&self, feature: &str) -> Option<u32> {
-        let table = StrTable::new(&self.buf[self.features.clone()])?;
-        let i = table.find(feature)?;
-        Some(read_u32(&self.buf, self.feature_ids.start + i * 4))
-    }
-
-    /// Encode `tokens` into per-position feature ids inside `scratch`,
-    /// replicating [`CompiledSequenceModel`]'s encode exactly.
-    fn encode_into(&self, tokens: &[String], scratch: &mut DecodeScratch) {
-        let trace = recipe_obs::enabled();
-        let grew = scratch.feats.len() < tokens.len();
-        if grew {
-            scratch.feats.resize_with(tokens.len(), Vec::new);
-        }
-        let DecodeScratch {
-            feats, scratch_str, ..
-        } = scratch;
-        let mut oov = 0u64;
-        for (i, ids) in feats.iter_mut().enumerate().take(tokens.len()) {
-            ids.clear();
-            self.extractor.for_each_at(tokens, i, scratch_str, |f| {
-                if let Some(id) = self.feature_id(f) {
-                    ids.push(id);
-                }
-            });
-            ids.sort_unstable();
-            ids.dedup();
-            if ids.is_empty() {
-                oov += 1;
-            }
-        }
-        if trace {
-            let m = decode_metrics();
-            m.tokens.add(tokens.len() as u64);
-            m.oov_tokens.add(oov);
-            if grew {
-                m.scratch_grows.inc();
-            } else {
-                m.scratch_reuses.inc();
-            }
-        }
-    }
-
-    /// CSR emission row read straight from artifact bytes; mirrors
-    /// [`crate::CompiledParams::emit_row_into`] (same summation order).
-    #[inline]
-    fn emit_row_into(&self, feats: &[u32], out: &mut [f64]) {
-        out.fill(0.0);
-        let l = out.len();
-        for &f in feats {
-            let f = f as usize;
-            if f < self.n_features {
-                // Clamp against nnz: a corrupt offsets payload degrades
-                // to a short row instead of an out-of-bounds read.
-                let lo = (read_u32(&self.buf, self.offsets.start + f * 4) as usize).min(self.nnz);
-                let hi =
-                    (read_u32(&self.buf, self.offsets.start + (f + 1) * 4) as usize).min(self.nnz);
-                for k in lo..hi {
-                    let y = read_u32(&self.buf, self.csr_labels.start + k * 4) as usize;
-                    if y < l {
-                        out[y] += read_f64(&self.buf, self.weights.start + k * 8);
-                    }
-                }
-            }
-        }
-    }
-
     /// Dense quantized emission row: contiguous i16 row scaled by the
     /// per-feature factor; zero-scale rows (all-zero originals) skip.
     #[inline]
@@ -454,77 +400,69 @@ impl NerView {
         }
     }
 
-    /// Viterbi decode over artifact bytes. With `quantized` off this is
-    /// bitwise-identical to [`crate::CompiledParams::viterbi_into`] on
-    /// the source model; with it on, emissions and transitions come
-    /// from the i16 tables.
-    fn viterbi_into(&self, feats: &[Vec<u32>], scratch: &mut DecodeScratch, out: &mut Vec<usize>) {
-        let explain = recipe_obs::provenance::enabled();
-        scratch.margins.clear();
-        out.clear();
-        let n = feats.len();
-        if n == 0 {
+    /// Predict dense label ids into `out`, reusing `scratch`: the same
+    /// decode kernel (and telemetry) as
+    /// [`CompiledSequenceModel::predict_ids_into`], over artifact bytes.
+    /// With `quantized` off the ids are bitwise-identical to the source
+    /// model's; with it on, emissions and transitions come from the i16
+    /// tables.
+    pub fn predict_ids_into(
+        &self,
+        tokens: &[String],
+        scratch: &mut DecodeScratch,
+        out: &mut Vec<usize>,
+    ) {
+        let _span = recipe_obs::span!("ner.decode");
+        decode_into(self, tokens, scratch, out);
+    }
+}
+
+impl NerTable for NerView {
+    #[inline]
+    fn n_labels(&self) -> usize {
+        self.n_labels
+    }
+
+    #[inline]
+    fn extractor(&self) -> &FeatureExtractor {
+        &self.extractor
+    }
+
+    /// Look up a feature string: binary search in the sorted table,
+    /// then map back to the original interner id.
+    #[inline]
+    fn feature_id(&self, feature: &str) -> Option<u32> {
+        let table = StrTable::new(&self.buf[self.features.clone()])?;
+        let i = table.find(feature)?;
+        Some(read_u32(&self.buf, self.feature_ids.start + i * 4))
+    }
+
+    /// CSR emission row read straight from artifact bytes; mirrors
+    /// [`crate::CompiledParams::emit_row_into`] (same summation order).
+    /// Quantized views read the dense i16 rows instead.
+    #[inline]
+    fn emit_row_into(&self, feats: &[u32], out: &mut [f64]) {
+        if self.quantized {
+            self.emit_row_quantized_into(feats, out);
             return;
         }
-        let l = self.n_labels;
-        scratch.et.clear();
-        scratch.et.resize(l, 0.0);
-        scratch.delta_prev.clear();
-        scratch.delta_prev.resize(l, 0.0);
-        scratch.delta_cur.clear();
-        scratch.delta_cur.resize(l, 0.0);
-        scratch.back.clear();
-        scratch.back.resize(n * l, 0);
-
-        let quantized = self.quantized;
-        if quantized {
-            self.emit_row_quantized_into(&feats[0], &mut scratch.et);
-        } else {
-            self.emit_row_into(&feats[0], &mut scratch.et);
-        }
-        for y in 0..l {
-            scratch.delta_prev[y] = read_f64(&self.buf, self.start.start + y * 8) + scratch.et[y];
-        }
-        if explain {
-            scratch.margins.push(row_margin(&scratch.delta_prev));
-        }
-        for t in 1..n {
-            if quantized {
-                self.emit_row_quantized_into(&feats[t], &mut scratch.et);
-            } else {
-                self.emit_row_into(&feats[t], &mut scratch.et);
-            }
-            for y in 0..l {
-                let mut best = f64::NEG_INFINITY;
-                let mut arg = 0usize;
-                for yp in 0..l {
-                    let s = scratch.delta_prev[yp] + self.trans_at(yp, y);
-                    if s > best {
-                        best = s;
-                        arg = yp;
+        out.fill(0.0);
+        let l = out.len();
+        for &f in feats {
+            let f = f as usize;
+            if f < self.n_features {
+                // Clamp against nnz: a corrupt offsets payload degrades
+                // to a short row instead of an out-of-bounds read.
+                let lo = (read_u32(&self.buf, self.offsets.start + f * 4) as usize).min(self.nnz);
+                let hi =
+                    (read_u32(&self.buf, self.offsets.start + (f + 1) * 4) as usize).min(self.nnz);
+                for k in lo..hi {
+                    let y = read_u32(&self.buf, self.csr_labels.start + k * 4) as usize;
+                    if y < l {
+                        out[y] += read_f64(&self.buf, self.weights.start + k * 8);
                     }
                 }
-                scratch.delta_cur[y] = best + scratch.et[y];
-                scratch.back[t * l + y] = arg;
             }
-            if explain {
-                scratch.margins.push(row_margin(&scratch.delta_cur));
-            }
-            std::mem::swap(&mut scratch.delta_prev, &mut scratch.delta_cur);
-        }
-        let mut last = 0usize;
-        let mut best = f64::NEG_INFINITY;
-        for y in 0..l {
-            let s = scratch.delta_prev[y] + read_f64(&self.buf, self.end.start + y * 8);
-            if s > best {
-                best = s;
-                last = y;
-            }
-        }
-        out.resize(n, 0);
-        out[n - 1] = last;
-        for t in (1..n).rev() {
-            out[t - 1] = scratch.back[t * l + out[t]];
         }
     }
 
@@ -540,35 +478,14 @@ impl NerView {
         }
     }
 
-    /// Predict dense label ids into `out`, reusing `scratch`. Same
-    /// contract (and telemetry) as
-    /// [`CompiledSequenceModel::predict_ids_into`].
-    pub fn predict_ids_into(
-        &self,
-        tokens: &[String],
-        scratch: &mut DecodeScratch,
-        out: &mut Vec<usize>,
-    ) {
-        let _span = recipe_obs::span!("ner.decode");
-        if recipe_obs::enabled() {
-            decode_metrics().phrases.inc();
-        }
-        self.encode_into(tokens, scratch);
-        // Split the borrow exactly like the compiled path: feats is
-        // read-only during decoding while the numeric buffers are written.
-        let feats = std::mem::take(&mut scratch.feats);
-        self.viterbi_into(&feats[..tokens.len()], scratch, out);
-        scratch.feats = feats;
+    #[inline]
+    fn start_at(&self, y: usize) -> f64 {
+        read_f64(&self.buf, self.start.start + y * 8)
     }
 
-    /// Predict label names (allocating convenience wrapper for tests).
-    pub fn predict(&self, tokens: &[String]) -> Vec<String> {
-        let mut scratch = DecodeScratch::new();
-        let mut ids = Vec::new();
-        self.predict_ids_into(tokens, &mut scratch, &mut ids);
-        ids.into_iter()
-            .map(|id| self.labels.name(id).to_string())
-            .collect()
+    #[inline]
+    fn end_at(&self, y: usize) -> f64 {
+        read_f64(&self.buf, self.end.start + y * 8)
     }
 }
 
@@ -578,7 +495,11 @@ mod tests {
     use crate::model::{SequenceModel, TrainConfig, Trainer};
 
     fn trained() -> CompiledSequenceModel {
-        let labels = LabelSet::new(&["O", "NAME", "QUANTITY", "UNIT"]);
+        trained_with(&["O", "NAME", "QUANTITY", "UNIT"])
+    }
+
+    fn trained_with(labels: &[&str]) -> CompiledSequenceModel {
+        let labels = LabelSet::new(labels);
         let seq = |tokens: &[&str], tags: &[&str]| {
             (
                 tokens.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
@@ -631,10 +552,31 @@ mod tests {
             view.predict_ids_into(tokens, &mut s2, &mut ids2);
             assert_eq!(ids1, ids2, "{tokens:?}");
         }
+
+        // One scratch alternating backends and label counts (as the
+        // per-thread scratch shared by the ingredient and instruction
+        // models does) decodes exactly like a fresh scratch per call.
+        let other = trained_with(&["QUANTITY", "UNIT", "NAME"]);
+        assert_ne!(other.labels().len(), model.labels().len());
+        type Decode<'a> = &'a dyn Fn(&[String], &mut DecodeScratch, &mut Vec<usize>);
+        let decoders: [Decode<'_>; 3] = [
+            &|t, s, o| model.predict_ids_into(t, s, o),
+            &|t, s, o| view.predict_ids_into(t, s, o),
+            &|t, s, o| other.predict_ids_into(t, s, o),
+        ];
+        let mut shared = DecodeScratch::new();
+        for tokens in inputs().iter().chain(inputs().iter().rev()) {
+            for (k, decode) in decoders.iter().enumerate() {
+                decode(tokens, &mut shared, &mut ids1);
+                decode(tokens, &mut DecodeScratch::new(), &mut ids2);
+                assert_eq!(ids1, ids2, "decoder {k} on {tokens:?}");
+            }
+        }
     }
 
     #[test]
     fn view_margins_match_compiled_margins() {
+        let _guard = crate::provenance_test_lock();
         let model = trained();
         let art = to_artifact(&model, 100);
         let view = NerView::from_artifact(&art, 100, false).expect("view");
@@ -681,13 +623,14 @@ mod tests {
         append_model(&mut w, 100, &model);
         append_model(&mut w, 200, &model);
         let art = Artifact::parse(w.finish().into()).expect("parse");
+        let tokens: Vec<String> = vec!["2".into(), "cups".into(), "flour".into()];
+        let mut scratch = DecodeScratch::new();
+        let (mut from_view, mut from_model) = (Vec::new(), Vec::new());
+        model.predict_ids_into(&tokens, &mut scratch, &mut from_model);
         for base in [100, 200] {
             let view = NerView::from_artifact(&art, base, false).expect("view");
-            assert_eq!(
-                view.predict(&["2".into(), "cups".into(), "flour".into()]),
-                model.predict(&["2".into(), "cups".into(), "flour".into()]),
-                "base {base}"
-            );
+            view.predict_ids_into(&tokens, &mut scratch, &mut from_view);
+            assert_eq!(from_view, from_model, "base {base}");
         }
         assert!(NerView::from_artifact(&art, 300, false).is_err());
     }
@@ -714,6 +657,66 @@ mod tests {
                 NerView::from_artifact(&partial, 100, false).is_err(),
                 "section {missing} missing but view loaded"
             );
+        }
+    }
+
+    /// Copy of the block at `base` with the sections in `replace`
+    /// swapped in, re-sealed so every CRC is valid again.
+    fn resealed(art: &Artifact, base: u32, replace: Vec<(u32, Vec<u8>)>) -> Artifact {
+        let mut w = ArtifactWriter::new();
+        for kind in 0..=13u32 {
+            let bytes = match replace.iter().find(|(k, _)| *k == kind) {
+                Some((_, b)) => b.clone(),
+                None => art.buf()[art.require_section(base + kind).expect("section")].to_vec(),
+            };
+            w.push_section(base + kind, bytes);
+        }
+        let art = Artifact::parse(w.finish().into()).expect("parse");
+        art.verify_crc().expect("re-sealed");
+        art
+    }
+
+    #[test]
+    fn empty_or_repeated_label_inventories_are_rejected() {
+        let model = trained();
+        let art = to_artifact(&model, 100);
+
+        // Same label count, one name written twice.
+        let mut names: Vec<&str> = model.labels().names().collect();
+        names[2] = names[1];
+        let mut table = Vec::new();
+        write_str_table(&mut table, &names);
+        let repeated = resealed(&art, 100, vec![(section::LABEL_NAMES, table)]);
+        assert!(matches!(
+            NerView::from_artifact(&repeated, 100, false),
+            Err(ArtifactError::Malformed(_))
+        ));
+
+        // A consistent zero-label block: meta, every label-sized
+        // section and the name table all empty.
+        let meta = art.require_section(100 + section::META).expect("meta");
+        let mut zero = Vec::new();
+        put_u32(&mut zero, 0);
+        zero.extend_from_slice(&art.buf()[meta.start + 4..meta.end]);
+        let mut no_names = Vec::new();
+        write_str_table::<&str>(&mut no_names, &[]);
+        let mut replace = vec![(section::META, zero), (section::LABEL_NAMES, no_names)];
+        for kind in [
+            section::TRANS,
+            section::START,
+            section::END,
+            section::Q_EMIT,
+            section::Q_TRANS,
+            section::Q_TRANS_SCALES,
+        ] {
+            replace.push((kind, Vec::new()));
+        }
+        let empty = resealed(&art, 100, replace);
+        for quantized in [false, true] {
+            assert!(matches!(
+                NerView::from_artifact(&empty, 100, quantized),
+                Err(ArtifactError::Malformed(_))
+            ));
         }
     }
 }

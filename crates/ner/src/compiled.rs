@@ -1,5 +1,5 @@
-//! Compiled inference path: sparse CSR parameters and allocation-free
-//! Viterbi decoding.
+//! Compiled inference path: sparse CSR parameters and the one
+//! allocation-free decode kernel every frozen NER model runs.
 //!
 //! Training wants a dense, growable [`Params`] block; serving wants the
 //! opposite — a frozen model in a compact layout that decodes a corpus
@@ -13,6 +13,17 @@
 //! through [`FeatureExtractor::for_each_at`] — no feature `String` is ever
 //! materialized at decode time — and [`DecodeScratch`] holds every buffer
 //! Viterbi needs so a worker allocates once and reuses across a corpus.
+//!
+//! # One kernel, two table forms
+//!
+//! A frozen model exposes itself to the decoder through the
+//! crate-internal `NerTable` trait: label count, feature string → id,
+//! one emission row, and the transition/start/end weights.
+//! [`CompiledSequenceModel`] implements it over CSR vectors,
+//! [`crate::NerView`] over `.rma` bytes (f64 or i16). Feature encoding
+//! (`encode_into`) and Viterbi (`viterbi_into`) are written once,
+//! generic over the table, so each backend monomorphises its own copy
+//! of the same loop with its accessors inlined.
 //!
 //! # Bitwise identity with the dense path
 //!
@@ -40,23 +51,23 @@ use crate::labels::LabelSet;
 use crate::model::SequenceModel;
 use std::sync::{Arc, OnceLock};
 
-/// Telemetry handles for the compiled decode path, resolved once from
+/// Telemetry handles for the decode kernel, resolved once from
 /// the global registry. All recording is gated on
 /// [`recipe_obs::enabled`] and never affects decoded output.
-pub(crate) struct DecodeMetrics {
-    /// Phrases decoded through [`CompiledSequenceModel::predict_ids_into`].
-    pub(crate) phrases: Arc<recipe_obs::Counter>,
+struct DecodeMetrics {
+    /// Phrases decoded through [`decode_into`] (either backend).
+    phrases: Arc<recipe_obs::Counter>,
     /// Tokens across those phrases.
-    pub(crate) tokens: Arc<recipe_obs::Counter>,
+    tokens: Arc<recipe_obs::Counter>,
     /// Tokens whose entire feature set was out of vocabulary.
-    pub(crate) oov_tokens: Arc<recipe_obs::Counter>,
+    oov_tokens: Arc<recipe_obs::Counter>,
     /// Encodes served by an already-large-enough scratch arena.
-    pub(crate) scratch_reuses: Arc<recipe_obs::Counter>,
+    scratch_reuses: Arc<recipe_obs::Counter>,
     /// Encodes that had to grow the scratch arena.
-    pub(crate) scratch_grows: Arc<recipe_obs::Counter>,
+    scratch_grows: Arc<recipe_obs::Counter>,
 }
 
-pub(crate) fn decode_metrics() -> &'static DecodeMetrics {
+fn decode_metrics() -> &'static DecodeMetrics {
     static METRICS: OnceLock<DecodeMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let reg = recipe_obs::global();
@@ -161,80 +172,6 @@ impl CompiledParams {
             }
         }
     }
-
-    /// Viterbi decode into `scratch`/`out` without allocating (buffers in
-    /// `scratch` grow on first use and are reused afterwards). `feats` is
-    /// the per-position feature-id slice, `out` receives the best path.
-    ///
-    /// Identical comparison and tie-breaking order to
-    /// [`crate::decode::viterbi`].
-    pub fn viterbi_into(
-        &self,
-        feats: &[Vec<u32>],
-        scratch: &mut DecodeScratch,
-        out: &mut Vec<usize>,
-    ) {
-        // Provenance margins are pure reads over δ rows the decode
-        // already computed; the decode itself is untouched either way.
-        let explain = recipe_obs::provenance::enabled();
-        scratch.margins.clear();
-        out.clear();
-        let n = feats.len();
-        if n == 0 {
-            return;
-        }
-        let l = self.n_labels;
-        scratch.et.clear();
-        scratch.et.resize(l, 0.0);
-        scratch.delta_prev.clear();
-        scratch.delta_prev.resize(l, 0.0);
-        scratch.delta_cur.clear();
-        scratch.delta_cur.resize(l, 0.0);
-        scratch.back.clear();
-        scratch.back.resize(n * l, 0);
-
-        self.emit_row_into(&feats[0], &mut scratch.et);
-        for y in 0..l {
-            scratch.delta_prev[y] = self.start[y] + scratch.et[y];
-        }
-        if explain {
-            scratch.margins.push(row_margin(&scratch.delta_prev));
-        }
-        for t in 1..n {
-            self.emit_row_into(&feats[t], &mut scratch.et);
-            for y in 0..l {
-                let mut best = f64::NEG_INFINITY;
-                let mut arg = 0usize;
-                for yp in 0..l {
-                    let s = scratch.delta_prev[yp] + self.trans[yp * l + y];
-                    if s > best {
-                        best = s;
-                        arg = yp;
-                    }
-                }
-                scratch.delta_cur[y] = best + scratch.et[y];
-                scratch.back[t * l + y] = arg;
-            }
-            if explain {
-                scratch.margins.push(row_margin(&scratch.delta_cur));
-            }
-            std::mem::swap(&mut scratch.delta_prev, &mut scratch.delta_cur);
-        }
-        let mut last = 0usize;
-        let mut best = f64::NEG_INFINITY;
-        for y in 0..l {
-            let s = scratch.delta_prev[y] + self.end[y];
-            if s > best {
-                best = s;
-                last = y;
-            }
-        }
-        out.resize(n, 0);
-        out[n - 1] = last;
-        for t in (1..n).rev() {
-            out[t - 1] = scratch.back[t * l + out[t]];
-        }
-    }
 }
 
 /// Best minus second-best of a Viterbi δ row: how decisively the top
@@ -266,7 +203,7 @@ pub struct DecodeScratch {
     pub(crate) delta_prev: Vec<f64>,
     /// Best path scores at the current position.
     pub(crate) delta_cur: Vec<f64>,
-    /// Backpointers, flattened `position * n_labels + label`.
+    /// Backpointers: one row of `n_labels` per position after the first.
     pub(crate) back: Vec<usize>,
     /// Format buffer for streaming feature extraction.
     pub(crate) scratch_str: String,
@@ -289,6 +226,176 @@ impl DecodeScratch {
     pub fn margins(&self) -> &[f64] {
         &self.margins
     }
+}
+
+/// What the decode kernel reads from a frozen NER model.
+///
+/// Implemented by [`CompiledSequenceModel`] (CSR vectors) and
+/// [`crate::NerView`] (`.rma` bytes, f64 or i16 rows). The kernel
+/// functions are generic over it, so every backend monomorphises its own
+/// copy of one loop with these accessors inlined.
+pub(crate) trait NerTable {
+    /// Number of labels `L`.
+    fn n_labels(&self) -> usize;
+    /// The feature extractor the model was trained with.
+    fn extractor(&self) -> &FeatureExtractor;
+    /// Interner id of a feature string; `None` when out of vocabulary.
+    fn feature_id(&self, feature: &str) -> Option<u32>;
+    /// Emission scores of one position's feature ids, written into `out`
+    /// (length `L`) in the summation order of [`Params::emit_row_into`].
+    fn emit_row_into(&self, feats: &[u32], out: &mut [f64]);
+    /// Transition weight `yp -> y`.
+    fn trans_at(&self, yp: usize, y: usize) -> f64;
+    /// Start-of-sequence weight of label `y`.
+    fn start_at(&self, y: usize) -> f64;
+    /// End-of-sequence weight of label `y`.
+    fn end_at(&self, y: usize) -> f64;
+}
+
+/// Encode `tokens` into per-position feature ids inside `scratch`,
+/// replicating [`crate::encode::encode_tokens`] exactly (same feature
+/// order, sort, dedup, and unknown-feature dropping) with zero
+/// allocation after warm-up.
+pub(crate) fn encode_into<T: NerTable>(table: &T, tokens: &[String], scratch: &mut DecodeScratch) {
+    let trace = recipe_obs::enabled();
+    let grew = scratch.feats.len() < tokens.len();
+    if grew {
+        scratch.feats.resize_with(tokens.len(), Vec::new);
+    }
+    let DecodeScratch {
+        feats, scratch_str, ..
+    } = scratch;
+    let mut oov = 0u64;
+    for (i, ids) in feats.iter_mut().enumerate().take(tokens.len()) {
+        ids.clear();
+        table.extractor().for_each_at(tokens, i, scratch_str, |f| {
+            if let Some(id) = table.feature_id(f) {
+                ids.push(id);
+            }
+        });
+        ids.sort_unstable();
+        ids.dedup();
+        if ids.is_empty() {
+            oov += 1;
+        }
+    }
+    if trace {
+        let m = decode_metrics();
+        m.tokens.add(tokens.len() as u64);
+        m.oov_tokens.add(oov);
+        if grew {
+            m.scratch_grows.inc();
+        } else {
+            m.scratch_reuses.inc();
+        }
+    }
+}
+
+/// Viterbi decode into `scratch`/`out` without allocating (buffers in
+/// `scratch` grow on first use and are reused afterwards). `feats` is
+/// the per-position feature-id slice, `out` receives the best path.
+///
+/// Identical comparison and tie-breaking order to
+/// [`crate::decode::viterbi`]. While provenance recording is on, the
+/// margin of every δ row is kept in [`DecodeScratch::margins`].
+pub(crate) fn viterbi_into<T: NerTable>(
+    table: &T,
+    feats: &[Vec<u32>],
+    scratch: &mut DecodeScratch,
+    out: &mut Vec<usize>,
+) {
+    // Provenance margins are pure reads over δ rows the decode
+    // already computed; the decode itself is untouched either way.
+    let explain = recipe_obs::provenance::enabled();
+    let DecodeScratch {
+        et,
+        delta_prev,
+        delta_cur,
+        back,
+        margins,
+        ..
+    } = scratch;
+    margins.clear();
+    out.clear();
+    let l = table.n_labels();
+    // Every model has labels (`LabelSet` and the `.rma` loader refuse an
+    // empty inventory); the guard keeps `chunks_exact(l)` well-defined.
+    let Some((first, rest)) = feats.split_first().filter(|_| l > 0) else {
+        return;
+    };
+    et.clear();
+    et.resize(l, 0.0);
+    delta_prev.clear();
+    delta_prev.resize(l, 0.0);
+    delta_cur.clear();
+    delta_cur.resize(l, 0.0);
+    back.clear();
+    back.resize(rest.len() * l, 0);
+
+    table.emit_row_into(first, et);
+    for (y, (d, &e)) in delta_prev.iter_mut().zip(et.iter()).enumerate() {
+        *d = table.start_at(y) + e;
+    }
+    if explain {
+        margins.push(row_margin(delta_prev));
+    }
+    for (f, back_row) in rest.iter().zip(back.chunks_exact_mut(l)) {
+        table.emit_row_into(f, et);
+        let cells = delta_cur.iter_mut().zip(et.iter()).zip(back_row.iter_mut());
+        for (y, ((cur, &e), arg_out)) in cells.enumerate() {
+            let mut best = f64::NEG_INFINITY;
+            let mut arg = 0usize;
+            for (yp, &dp) in delta_prev.iter().enumerate() {
+                let s = dp + table.trans_at(yp, y);
+                if s > best {
+                    best = s;
+                    arg = yp;
+                }
+            }
+            *cur = best + e;
+            *arg_out = arg;
+        }
+        if explain {
+            margins.push(row_margin(delta_cur));
+        }
+        std::mem::swap(delta_prev, delta_cur);
+    }
+    let mut last = 0usize;
+    let mut best = f64::NEG_INFINITY;
+    for (y, &d) in delta_prev.iter().enumerate() {
+        let s = d + table.end_at(y);
+        if s > best {
+            best = s;
+            last = y;
+        }
+    }
+    // Follow the backpointers from the last position, then flip.
+    out.push(last);
+    for back_row in back.chunks_exact(l).rev() {
+        last = back_row[last];
+        out.push(last);
+    }
+    out.reverse();
+}
+
+/// The one NER decode: encode `tokens`, then Viterbi over the encoded
+/// ids, through `scratch`. The public `predict_ids_into` methods open
+/// the `ner.decode` span around it.
+pub(crate) fn decode_into<T: NerTable>(
+    table: &T,
+    tokens: &[String],
+    scratch: &mut DecodeScratch,
+    out: &mut Vec<usize>,
+) {
+    if recipe_obs::enabled() {
+        decode_metrics().phrases.inc();
+    }
+    encode_into(table, tokens, scratch);
+    // Split the borrow: feats is read-only during decoding while the
+    // numeric buffers are written.
+    let feats = std::mem::take(&mut scratch.feats);
+    viterbi_into(table, &feats[..tokens.len()], scratch, out);
+    scratch.feats = feats;
 }
 
 /// A [`SequenceModel`] frozen for serving: CSR parameters plus the frozen
@@ -324,45 +431,6 @@ impl CompiledSequenceModel {
         &self.params
     }
 
-    /// Encode `tokens` into per-position feature ids inside `scratch`,
-    /// replicating [`crate::encode::encode_tokens`] exactly (same feature
-    /// order, sort, dedup, and unknown-feature dropping) with zero
-    /// allocation after warm-up.
-    fn encode_into(&self, tokens: &[String], scratch: &mut DecodeScratch) {
-        let trace = recipe_obs::enabled();
-        let grew = scratch.feats.len() < tokens.len();
-        if grew {
-            scratch.feats.resize_with(tokens.len(), Vec::new);
-        }
-        let DecodeScratch {
-            feats, scratch_str, ..
-        } = scratch;
-        let mut oov = 0u64;
-        for (i, ids) in feats.iter_mut().enumerate().take(tokens.len()) {
-            ids.clear();
-            self.extractor.for_each_at(tokens, i, scratch_str, |f| {
-                if let Some(id) = self.interner.get(f) {
-                    ids.push(id);
-                }
-            });
-            ids.sort_unstable();
-            ids.dedup();
-            if ids.is_empty() {
-                oov += 1;
-            }
-        }
-        if trace {
-            let m = decode_metrics();
-            m.tokens.add(tokens.len() as u64);
-            m.oov_tokens.add(oov);
-            if grew {
-                m.scratch_grows.inc();
-            } else {
-                m.scratch_reuses.inc();
-            }
-        }
-    }
-
     /// Predict dense label ids into `out`, reusing `scratch` for every
     /// intermediate buffer. Bitwise-identical to
     /// [`SequenceModel::predict_ids`] on the model this was compiled from.
@@ -373,16 +441,7 @@ impl CompiledSequenceModel {
         out: &mut Vec<usize>,
     ) {
         let _span = recipe_obs::span!("ner.decode");
-        if recipe_obs::enabled() {
-            decode_metrics().phrases.inc();
-        }
-        self.encode_into(tokens, scratch);
-        // Split the borrow: feats is read-only during decoding while the
-        // numeric buffers are written.
-        let feats = std::mem::take(&mut scratch.feats);
-        self.params
-            .viterbi_into(&feats[..tokens.len()], scratch, out);
-        scratch.feats = feats;
+        decode_into(self, tokens, scratch, out);
     }
 
     /// Predict label names (allocating convenience wrapper used by tests
@@ -394,6 +453,47 @@ impl CompiledSequenceModel {
         ids.into_iter()
             .map(|id| self.labels.name(id).to_string())
             .collect()
+    }
+}
+
+impl NerTable for CompiledSequenceModel {
+    #[inline]
+    fn n_labels(&self) -> usize {
+        self.params.n_labels
+    }
+
+    #[inline]
+    fn extractor(&self) -> &FeatureExtractor {
+        &self.extractor
+    }
+
+    #[inline]
+    fn feature_id(&self, feature: &str) -> Option<u32> {
+        self.interner.get(feature)
+    }
+
+    #[inline]
+    fn emit_row_into(&self, feats: &[u32], out: &mut [f64]) {
+        self.params.emit_row_into(feats, out);
+    }
+
+    #[inline]
+    fn trans_at(&self, yp: usize, y: usize) -> f64 {
+        // `trans` is `L x L` by construction, so the fallback is never
+        // taken; a missing transition would simply never win.
+        let p = &self.params;
+        let w = p.trans.get(yp * p.n_labels + y);
+        w.copied().unwrap_or(f64::NEG_INFINITY)
+    }
+
+    #[inline]
+    fn start_at(&self, y: usize) -> f64 {
+        self.params.start[y]
+    }
+
+    #[inline]
+    fn end_at(&self, y: usize) -> f64 {
+        self.params.end[y]
     }
 }
 
@@ -421,6 +521,17 @@ mod tests {
         p
     }
 
+    /// `p` frozen into a model with an empty vocabulary, so tests drive
+    /// the kernel with feature ids directly.
+    fn tiny_model(p: &Params) -> CompiledSequenceModel {
+        CompiledSequenceModel {
+            labels: LabelSet::new(&["A", "B", "C"]),
+            extractor: FeatureExtractor::new(),
+            interner: Interner::new(),
+            params: CompiledParams::from_params(p),
+        }
+    }
+
     #[test]
     fn csr_emission_rows_match_dense_bits_up_to_zero_sign() {
         let p = tiny_params();
@@ -442,7 +553,7 @@ mod tests {
     #[test]
     fn compiled_viterbi_matches_dense_viterbi_exactly() {
         let p = tiny_params();
-        let c = CompiledParams::from_params(&p);
+        let c = tiny_model(&p);
         let mut scratch = DecodeScratch::new();
         let mut out = Vec::new();
         let cases: Vec<Vec<Vec<u32>>> = vec![
@@ -452,7 +563,7 @@ mod tests {
             vec![vec![99], vec![0], vec![3, 4]],
         ];
         for feats in &cases {
-            c.viterbi_into(feats, &mut scratch, &mut out);
+            viterbi_into(&c, feats, &mut scratch, &mut out);
             assert_eq!(out, viterbi(&p, feats), "feats {feats:?}");
         }
     }
@@ -460,16 +571,16 @@ mod tests {
     #[test]
     fn scratch_reuse_does_not_leak_state_across_inputs() {
         let p = tiny_params();
-        let c = CompiledParams::from_params(&p);
+        let c = tiny_model(&p);
         let mut scratch = DecodeScratch::new();
         let mut out = Vec::new();
         // Long input first, then shorter ones: stale buffer contents from
         // the long decode must not influence the short ones.
         let long: Vec<Vec<u32>> = (0..12).map(|i| vec![i % 6]).collect();
-        c.viterbi_into(&long, &mut scratch, &mut out);
+        viterbi_into(&c, &long, &mut scratch, &mut out);
         assert_eq!(out, viterbi(&p, &long));
         for feats in [vec![vec![3u32]], vec![vec![2], vec![0, 1]]] {
-            c.viterbi_into(&feats, &mut scratch, &mut out);
+            viterbi_into(&c, &feats, &mut scratch, &mut out);
             assert_eq!(out, viterbi(&p, &feats), "feats {feats:?}");
         }
     }
@@ -517,19 +628,20 @@ mod tests {
 
     #[test]
     fn margins_fill_only_under_provenance_and_never_change_the_path() {
+        let _guard = crate::provenance_test_lock();
         let p = tiny_params();
-        let c = CompiledParams::from_params(&p);
+        let c = tiny_model(&p);
         let mut scratch = DecodeScratch::new();
         let mut out_plain = Vec::new();
         let mut out_explained = Vec::new();
         let feats: Vec<Vec<u32>> = vec![vec![0, 2], vec![1], vec![5, 0], vec![2]];
 
         recipe_obs::provenance::set_enabled(false);
-        c.viterbi_into(&feats, &mut scratch, &mut out_plain);
+        viterbi_into(&c, &feats, &mut scratch, &mut out_plain);
         assert!(scratch.margins().is_empty(), "margins without --explain");
 
         recipe_obs::provenance::set_enabled(true);
-        c.viterbi_into(&feats, &mut scratch, &mut out_explained);
+        viterbi_into(&c, &feats, &mut scratch, &mut out_explained);
         recipe_obs::provenance::set_enabled(false);
         assert_eq!(out_explained, out_plain, "margins perturbed the decode");
         assert_eq!(scratch.margins().len(), feats.len(), "one margin per token");
@@ -539,7 +651,7 @@ mod tests {
         }
 
         // A later non-explained decode clears stale margins.
-        c.viterbi_into(&feats, &mut scratch, &mut out_plain);
+        viterbi_into(&c, &feats, &mut scratch, &mut out_plain);
         assert!(scratch.margins().is_empty());
     }
 

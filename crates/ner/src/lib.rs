@@ -57,3 +57,12 @@ pub use artifact::NerView;
 pub use compiled::{CompiledParams, CompiledSequenceModel, DecodeScratch};
 pub use labels::{IngredientTag, InstructionTag, LabelSet};
 pub use model::{SequenceModel, TrainConfig, Trainer};
+
+#[cfg(test)]
+/// Provenance recording is process-global, so the unit tests that
+/// read decode margins serialize on this lock: one test's enabled window
+/// must never capture (or perturb) another test's decode.
+pub(crate) fn provenance_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}

@@ -9,16 +9,18 @@
 //! tag dictionary is a sorted word table plus a parallel tag-index
 //! array.
 //!
-//! [`PosView::tag_into`] replicates the compiled greedy decode exactly
-//! — tag-dictionary short-circuit, feature stream order, accumulation
-//! order, argmax tie-breaking, provenance records, and telemetry — so
-//! tags are identical to [`CompiledPosTagger::tag_into`] on every
-//! input. The greedy perceptron row is O(active features), already
-//! cache-friendly, so no quantized variant exists on this path.
+//! [`PosView`] is the second implementation of
+//! [`crate::compiled::PosTable`]: it supplies the byte reads, and the
+//! greedy loop is [`crate::compiled::tag_into`], shared with the
+//! compiled tagger — so tags, provenance records and telemetry are
+//! identical to the compiled path on every input. The greedy perceptron
+//! row is O(active features), already cache-friendly, so no quantized
+//! variant exists on this path.
+//!
+//! [`PosView::from_artifact`] rejects a class count outside
+//! `1..=NUM_TAGS`, so every argmax maps to a Penn tag.
 
-use crate::compiled::{tag_metrics, CompiledPosTagger, TagScratch};
-use crate::perceptron::argmax;
-use crate::tagger::{for_each_feature, normalize_into, END, START};
+use crate::compiled::{CompiledPosTagger, PosTable};
 use crate::tagset::{PennTag, NUM_TAGS};
 use recipe_artifact::{
     put_f64, put_u32, read_f64, read_u32, write_str_table, Artifact, ArtifactError, ArtifactWriter,
@@ -129,6 +131,11 @@ impl PosView {
             return Err(ArtifactError::Malformed("pos meta section size"));
         }
         let num_classes = read_u32(&buf, meta.start) as usize;
+        // Every argmax must name a Penn tag, and the score row is sized
+        // from this count.
+        if !(1..=NUM_TAGS).contains(&num_classes) {
+            return Err(ArtifactError::Malformed("pos class count"));
+        }
         let num_features = read_u32(&buf, meta.start + 4) as usize;
         let dict_len = read_u32(&buf, meta.start + 8) as usize;
 
@@ -185,6 +192,13 @@ impl PosView {
     pub fn num_features(&self) -> usize {
         self.num_features
     }
+}
+
+impl PosTable for PosView {
+    #[inline]
+    fn num_classes(&self) -> usize {
+        self.num_classes
+    }
 
     /// Tag-dictionary lookup on the sorted word table; out-of-range tag
     /// indices (possible only under payload corruption) read as misses.
@@ -227,104 +241,12 @@ impl PosView {
             }
         }
     }
-
-    /// Tag a tokenized sentence into `out`, reusing `scratch`. Output,
-    /// provenance and telemetry are identical to
-    /// [`CompiledPosTagger::tag_into`] on the source tagger.
-    pub fn tag_into(&self, words: &[String], scratch: &mut TagScratch, out: &mut Vec<PennTag>) {
-        let _span = recipe_obs::span!("tagger.tag");
-        out.clear();
-        let n = words.len();
-        let ctx_len = n + 4;
-        if scratch.context.len() < ctx_len {
-            scratch.context.resize_with(ctx_len, String::new);
-        }
-        let TagScratch {
-            context,
-            ids,
-            scores,
-            scratch_str,
-        } = scratch;
-        scores.resize(self.num_classes, 0.0);
-        context[0].clear();
-        context[0].push_str(START[0]);
-        context[1].clear();
-        context[1].push_str(START[1]);
-        for (k, w) in words.iter().enumerate() {
-            normalize_into(w, &mut context[k + 2]);
-        }
-        context[n + 2].clear();
-        context[n + 2].push_str(END[0]);
-        context[n + 3].clear();
-        context[n + 3].push_str(END[1]);
-        let context = &context[..ctx_len];
-
-        let mut prev: &str = START[0];
-        let mut prev2: &str = START[1];
-        let mut dict_hits = 0u64;
-        let explain = recipe_obs::provenance::enabled();
-        for i in 0..n {
-            let norm = context[i + 2].as_str();
-            let tag = if let Some(t) = self.tagdict_at(norm) {
-                dict_hits += 1;
-                if explain {
-                    recipe_obs::provenance::record(recipe_obs::provenance::Record {
-                        kind: "tagger.margin",
-                        site: "tagger.pos",
-                        subject: words[i].clone(),
-                        decision: t.as_str().to_string(),
-                        detail: "tagdict".to_string(),
-                        index: i,
-                        margin: None,
-                    });
-                }
-                t
-            } else {
-                ids.clear();
-                for_each_feature(i, context, prev, prev2, scratch_str, |feat| {
-                    if let Some(id) = self.feature_id(feat) {
-                        ids.push(id);
-                    }
-                });
-                self.scores_into(ids, scores);
-                let tag = PennTag::from_index(argmax(scores));
-                if explain {
-                    recipe_obs::provenance::record(recipe_obs::provenance::Record {
-                        kind: "tagger.margin",
-                        site: "tagger.pos",
-                        subject: words[i].clone(),
-                        decision: tag.as_str().to_string(),
-                        detail: "model".to_string(),
-                        index: i,
-                        margin: Some(CompiledPosTagger::margin_of(scores)),
-                    });
-                }
-                tag
-            };
-            out.push(tag);
-            prev2 = prev;
-            prev = tag.as_str();
-        }
-        if recipe_obs::enabled() {
-            let m = tag_metrics();
-            m.sentences.inc();
-            m.tokens.add(n as u64);
-            m.tagdict_hits.add(dict_hits);
-        }
-    }
-
-    /// Allocating convenience wrapper around [`Self::tag_into`].
-    pub fn tag(&self, words: &[String]) -> Vec<PennTag> {
-        let mut scratch = TagScratch::new();
-        let mut out = Vec::new();
-        self.tag_into(words, &mut scratch, &mut out);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::{tag_into, TagScratch};
     use crate::tagger::{PosTagger, TaggedSentence};
 
     fn s(words: &[&str], tags: &[PennTag]) -> TaggedSentence {
@@ -352,6 +274,7 @@ mod tests {
 
     #[test]
     fn view_tags_are_identical_to_compiled() {
+        let _guard = crate::provenance_test_lock();
         let tagger = PosTagger::train(&toy_corpus(), 6, 7);
         let compiled = CompiledPosTagger::compile(&tagger);
         let art = to_artifact(&compiled);
@@ -371,14 +294,15 @@ mod tests {
             vec!["boil".into()],
         ];
         for words in &sentences {
-            compiled.tag_into(words, &mut s1, &mut out1);
-            view.tag_into(words, &mut s2, &mut out2);
+            tag_into(&compiled, words, &mut s1, &mut out1);
+            tag_into(&view, words, &mut s2, &mut out2);
             assert_eq!(out1, out2, "{words:?}");
         }
     }
 
     #[test]
     fn view_provenance_matches_compiled() {
+        let _guard = crate::provenance_test_lock();
         let tagger = PosTagger::train(&toy_corpus(), 6, 7);
         let compiled = CompiledPosTagger::compile(&tagger);
         let view = PosView::from_artifact(&to_artifact(&compiled), 300).expect("view");
@@ -388,10 +312,10 @@ mod tests {
 
         recipe_obs::provenance::reset();
         recipe_obs::provenance::set_enabled(true);
-        compiled.tag_into(&words, &mut scratch, &mut out);
+        tag_into(&compiled, &words, &mut scratch, &mut out);
         let from_compiled = recipe_obs::provenance::drain();
         recipe_obs::provenance::set_enabled(true);
-        view.tag_into(&words, &mut scratch, &mut out);
+        tag_into(&view, &words, &mut scratch, &mut out);
         let from_view = recipe_obs::provenance::drain();
         recipe_obs::provenance::set_enabled(false);
 
@@ -434,5 +358,32 @@ mod tests {
             );
         }
         assert!(PosView::from_artifact(&full, 999).is_err());
+    }
+
+    #[test]
+    fn class_counts_outside_the_tagset_are_rejected() {
+        let tagger = PosTagger::train(&toy_corpus(), 4, 1);
+        let full = to_artifact(&CompiledPosTagger::compile(&tagger));
+        for classes in [0, NUM_TAGS as u32 + 1, u32::MAX] {
+            // Re-seal the block with only the meta class count changed.
+            let mut w = ArtifactWriter::new();
+            for kind in 0..=6u32 {
+                let r = full.require_section(300 + kind).expect("section");
+                let mut bytes = full.buf()[r].to_vec();
+                if kind == section::META {
+                    bytes[..4].copy_from_slice(&classes.to_le_bytes());
+                }
+                w.push_section(300 + kind, bytes);
+            }
+            let art = Artifact::parse(w.finish().into()).expect("parse");
+            art.verify_crc().expect("re-sealed");
+            assert!(
+                matches!(
+                    PosView::from_artifact(&art, 300),
+                    Err(ArtifactError::Malformed(_))
+                ),
+                "{classes} classes accepted"
+            );
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! Compiled POS tagging: the averaged perceptron frozen into a sparse CSR
-//! weight layout, decoding through a reusable [`TagScratch`] arena.
+//! weight layout, and the one greedy tag loop every frozen tagger runs,
+//! decoding through a reusable [`TagScratch`] arena.
 //!
 //! [`PosTagger::tag`] already streams feature strings through a scratch
 //! buffer, but it still allocates a fresh normalized-context `Vec<String>`
@@ -8,10 +9,16 @@
 //! runs of `(class, weight)` nonzeros and reuses the context buffer, the
 //! feature-id buffer and the score row across an entire corpus.
 //!
-//! The greedy decode loop — tag-dictionary short-circuit, feature stream
-//! order, score accumulation order, and `argmax` tie-breaking — replicates
-//! the reference tagger exactly. Pruning an exact-zero weight can only
-//! flip the sign of a zero intermediate sum, which no comparison in the
+//! A frozen tagger exposes itself through [`PosTable`]: the tag
+//! dictionary, feature string → row id, and one score row.
+//! [`CompiledPosTagger`] implements it over CSR vectors and
+//! [`crate::PosView`] over `.rma` bytes; [`tag_into`] is the one greedy
+//! loop, generic over the table.
+//!
+//! That loop — tag-dictionary short-circuit, feature stream order, score
+//! accumulation order, and `argmax` tie-breaking — replicates the
+//! reference tagger exactly. Pruning an exact-zero weight can only flip
+//! the sign of a zero intermediate sum, which no comparison in the
 //! decoder can observe, so compiled tags are identical to
 //! [`PosTagger::tag`] on every input (enforced by tests here and by lint
 //! rule RA208).
@@ -25,16 +32,16 @@ use std::sync::{Arc, OnceLock};
 /// Telemetry handles for compiled tagging, resolved once from the global
 /// registry. Recording is gated on [`recipe_obs::enabled`] and never
 /// affects the tags produced.
-pub(crate) struct TagMetrics {
-    /// Sentences tagged through [`CompiledPosTagger::tag_into`].
-    pub(crate) sentences: Arc<recipe_obs::Counter>,
+struct TagMetrics {
+    /// Sentences tagged through [`tag_into`] (either backend).
+    sentences: Arc<recipe_obs::Counter>,
     /// Tokens across those sentences.
-    pub(crate) tokens: Arc<recipe_obs::Counter>,
+    tokens: Arc<recipe_obs::Counter>,
     /// Tokens short-circuited by the unambiguous-word dictionary.
-    pub(crate) tagdict_hits: Arc<recipe_obs::Counter>,
+    tagdict_hits: Arc<recipe_obs::Counter>,
 }
 
-pub(crate) fn tag_metrics() -> &'static TagMetrics {
+fn tag_metrics() -> &'static TagMetrics {
     static METRICS: OnceLock<TagMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let reg = recipe_obs::global();
@@ -65,6 +72,121 @@ impl TagScratch {
     /// Fresh, empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// What the greedy tag loop reads from a frozen POS model.
+///
+/// Implemented by [`CompiledPosTagger`] (CSR vectors and hash maps) and
+/// [`crate::PosView`] (`.rma` bytes). [`tag_into`] is generic over it,
+/// so each backend monomorphises its own copy of one loop with these
+/// accessors inlined.
+pub trait PosTable {
+    /// Classes scored per position; at most [`crate::tagset::NUM_TAGS`].
+    fn num_classes(&self) -> usize;
+    /// Tag of a normalized word from the unambiguous-word dictionary.
+    fn tagdict_at(&self, norm: &str) -> Option<PennTag>;
+    /// Compiled row id of a feature string; `None` when unknown.
+    fn feature_id(&self, feature: &str) -> Option<u32>;
+    /// Class scores of the active feature ids, written into `scores`
+    /// (length [`PosTable::num_classes`]).
+    fn scores_into(&self, ids: &[u32], scores: &mut [f64]);
+}
+
+/// Tag a tokenized sentence into `out`, reusing `scratch` for every
+/// intermediate buffer: the one greedy decode for both table forms.
+/// Tags are identical to [`PosTagger::tag`] on the tagger the table was
+/// compiled from.
+pub fn tag_into<T: PosTable>(
+    table: &T,
+    words: &[String],
+    scratch: &mut TagScratch,
+    out: &mut Vec<PennTag>,
+) {
+    let _span = recipe_obs::span!("tagger.tag");
+    out.clear();
+    let n = words.len();
+    let ctx_len = n + 4;
+    if scratch.context.len() < ctx_len {
+        scratch.context.resize_with(ctx_len, String::new);
+    }
+    let TagScratch {
+        context,
+        ids,
+        scores,
+        scratch_str,
+    } = scratch;
+    scores.clear();
+    scores.resize(table.num_classes(), 0.0);
+    // Two START sentinels, the normalized words, two END sentinels.
+    let context = &mut context[..ctx_len];
+    let (head, rest) = context.split_at_mut(2);
+    let (body, tail) = rest.split_at_mut(n);
+    for (slot, sentinel) in head.iter_mut().zip(START) {
+        slot.clear();
+        slot.push_str(sentinel);
+    }
+    for (slot, word) in body.iter_mut().zip(words) {
+        normalize_into(word, slot);
+    }
+    for (slot, sentinel) in tail.iter_mut().zip(END) {
+        slot.clear();
+        slot.push_str(sentinel);
+    }
+    let context = &*context;
+
+    let mut prev: &str = START[0];
+    let mut prev2: &str = START[1];
+    let mut dict_hits = 0u64;
+    // Provenance is purely observational: margins are read off the
+    // score row the tagger already computed.
+    let explain = recipe_obs::provenance::enabled();
+    for (i, (word, norm)) in words.iter().zip(&context[2..]).enumerate() {
+        let tag = if let Some(t) = table.tagdict_at(norm) {
+            dict_hits += 1;
+            if explain {
+                recipe_obs::provenance::record(recipe_obs::provenance::Record {
+                    kind: "tagger.margin",
+                    site: "tagger.pos",
+                    subject: word.clone(),
+                    decision: t.as_str().to_string(),
+                    detail: "tagdict".to_string(),
+                    index: i,
+                    margin: None,
+                });
+            }
+            t
+        } else {
+            ids.clear();
+            for_each_feature(i, context, prev, prev2, scratch_str, |feat| {
+                if let Some(id) = table.feature_id(feat) {
+                    ids.push(id);
+                }
+            });
+            table.scores_into(ids, scores);
+            let tag = PennTag::from_index(argmax(scores));
+            if explain {
+                recipe_obs::provenance::record(recipe_obs::provenance::Record {
+                    kind: "tagger.margin",
+                    site: "tagger.pos",
+                    subject: word.clone(),
+                    decision: tag.as_str().to_string(),
+                    detail: "model".to_string(),
+                    index: i,
+                    margin: Some(CompiledPosTagger::margin_of(scores)),
+                });
+            }
+            tag
+        };
+        out.push(tag);
+        prev2 = prev;
+        prev = tag.as_str();
+    }
+    if recipe_obs::enabled() {
+        let m = tag_metrics();
+        m.sentences.inc();
+        m.tokens.add(n as u64);
+        m.tagdict_hits.add(dict_hits);
     }
 }
 
@@ -130,109 +252,6 @@ impl CompiledPosTagger {
         self.weights.len()
     }
 
-    /// Class scores for the active feature ids, written into
-    /// `scores` (length `num_classes`). Same per-feature accumulation
-    /// order as [`crate::perceptron::AveragedPerceptron::scores_ids`],
-    /// minus the exact-zero terms.
-    #[inline]
-    fn scores_into(&self, ids: &[u32], scores: &mut [f64]) {
-        scores.fill(0.0);
-        for &id in ids {
-            let lo = self.offsets[id as usize] as usize;
-            let hi = self.offsets[id as usize + 1] as usize;
-            for k in lo..hi {
-                scores[self.classes[k] as usize] += self.weights[k];
-            }
-        }
-    }
-
-    /// Tag a tokenized sentence into `out`, reusing `scratch` for every
-    /// intermediate buffer. Output is identical to [`PosTagger::tag`] on
-    /// the tagger this was compiled from.
-    pub fn tag_into(&self, words: &[String], scratch: &mut TagScratch, out: &mut Vec<PennTag>) {
-        let _span = recipe_obs::span!("tagger.tag");
-        out.clear();
-        let n = words.len();
-        let ctx_len = n + 4;
-        if scratch.context.len() < ctx_len {
-            scratch.context.resize_with(ctx_len, String::new);
-        }
-        let TagScratch {
-            context,
-            ids,
-            scores,
-            scratch_str,
-        } = scratch;
-        scores.resize(self.num_classes, 0.0);
-        context[0].clear();
-        context[0].push_str(START[0]);
-        context[1].clear();
-        context[1].push_str(START[1]);
-        for (k, w) in words.iter().enumerate() {
-            normalize_into(w, &mut context[k + 2]);
-        }
-        context[n + 2].clear();
-        context[n + 2].push_str(END[0]);
-        context[n + 3].clear();
-        context[n + 3].push_str(END[1]);
-        let context = &context[..ctx_len];
-
-        let mut prev: &str = START[0];
-        let mut prev2: &str = START[1];
-        let mut dict_hits = 0u64;
-        // Provenance is purely observational: margins are read off the
-        // score row the tagger already computed.
-        let explain = recipe_obs::provenance::enabled();
-        for i in 0..n {
-            let norm = context[i + 2].as_str();
-            let tag = if let Some(&t) = self.tagdict.get(norm) {
-                dict_hits += 1;
-                if explain {
-                    recipe_obs::provenance::record(recipe_obs::provenance::Record {
-                        kind: "tagger.margin",
-                        site: "tagger.pos",
-                        subject: words[i].clone(),
-                        decision: t.as_str().to_string(),
-                        detail: "tagdict".to_string(),
-                        index: i,
-                        margin: None,
-                    });
-                }
-                t
-            } else {
-                ids.clear();
-                for_each_feature(i, context, prev, prev2, scratch_str, |feat| {
-                    if let Some(&id) = self.ids.get(feat) {
-                        ids.push(id);
-                    }
-                });
-                self.scores_into(ids, scores);
-                let tag = PennTag::from_index(argmax(scores));
-                if explain {
-                    recipe_obs::provenance::record(recipe_obs::provenance::Record {
-                        kind: "tagger.margin",
-                        site: "tagger.pos",
-                        subject: words[i].clone(),
-                        decision: tag.as_str().to_string(),
-                        detail: "model".to_string(),
-                        index: i,
-                        margin: Some(Self::margin_of(scores)),
-                    });
-                }
-                tag
-            };
-            out.push(tag);
-            prev2 = prev;
-            prev = tag.as_str();
-        }
-        if recipe_obs::enabled() {
-            let m = tag_metrics();
-            m.sentences.inc();
-            m.tokens.add(n as u64);
-            m.tagdict_hits.add(dict_hits);
-        }
-    }
-
     /// Best minus second-best class score: how decisively the predicted
     /// tag won. Infinite for a single-class score row.
     pub(crate) fn margin_of(scores: &[f64]) -> f64 {
@@ -249,12 +268,45 @@ impl CompiledPosTagger {
         best - second
     }
 
-    /// Allocating convenience wrapper around [`Self::tag_into`].
+    /// Allocating convenience wrapper around [`tag_into`].
     pub fn tag(&self, words: &[String]) -> Vec<PennTag> {
         let mut scratch = TagScratch::new();
         let mut out = Vec::new();
-        self.tag_into(words, &mut scratch, &mut out);
+        tag_into(self, words, &mut scratch, &mut out);
         out
+    }
+}
+
+impl PosTable for CompiledPosTagger {
+    #[inline]
+    fn num_classes(&self) -> usize {
+        self.num_classes
+    }
+
+    #[inline]
+    fn tagdict_at(&self, norm: &str) -> Option<PennTag> {
+        self.tagdict.get(norm).copied()
+    }
+
+    #[inline]
+    fn feature_id(&self, feature: &str) -> Option<u32> {
+        self.ids.get(feature).copied()
+    }
+
+    /// Class scores for the active feature ids, written into
+    /// `scores` (length `num_classes`). Same per-feature accumulation
+    /// order as [`crate::perceptron::AveragedPerceptron::scores_ids`],
+    /// minus the exact-zero terms.
+    #[inline]
+    fn scores_into(&self, ids: &[u32], scores: &mut [f64]) {
+        scores.fill(0.0);
+        for &id in ids {
+            let lo = self.offsets[id as usize] as usize;
+            let hi = self.offsets[id as usize + 1] as usize;
+            for k in lo..hi {
+                scores[self.classes[k] as usize] += self.weights[k];
+            }
+        }
     }
 }
 
@@ -287,6 +339,7 @@ mod tests {
 
     #[test]
     fn compiled_tags_match_reference_on_varied_inputs() {
+        let _guard = crate::provenance_test_lock();
         let tagger = PosTagger::train(&toy_corpus(), 6, 7);
         let compiled = CompiledPosTagger::compile(&tagger);
         let mut scratch = TagScratch::new();
@@ -303,7 +356,7 @@ mod tests {
             vec!["boil".into()],
         ];
         for words in &sentences {
-            compiled.tag_into(words, &mut scratch, &mut out);
+            tag_into(&compiled, words, &mut scratch, &mut out);
             assert_eq!(out, tagger.tag(words), "{words:?}");
             assert_eq!(compiled.tag(words), tagger.tag(words));
         }
@@ -311,6 +364,7 @@ mod tests {
 
     #[test]
     fn provenance_labels_tagdict_and_model_decisions_without_changing_tags() {
+        let _guard = crate::provenance_test_lock();
         let tagger = PosTagger::train(&toy_corpus(), 6, 7);
         let compiled = CompiledPosTagger::compile(&tagger);
         let mut scratch = TagScratch::new();
@@ -319,10 +373,10 @@ mod tests {
         // "the" is unambiguous (tagdict), "mix" is ambiguous (model).
         let words: Vec<String> = vec!["mix".into(), "the".into(), "batter".into()];
 
-        compiled.tag_into(&words, &mut scratch, &mut plain);
+        tag_into(&compiled, &words, &mut scratch, &mut plain);
         recipe_obs::provenance::reset();
         recipe_obs::provenance::set_enabled(true);
-        compiled.tag_into(&words, &mut scratch, &mut explained);
+        tag_into(&compiled, &words, &mut scratch, &mut explained);
         recipe_obs::provenance::set_enabled(false);
         let records = recipe_obs::provenance::drain();
 

@@ -41,7 +41,16 @@ pub mod tagset;
 pub mod vectorize;
 
 pub use artifact::PosView;
-pub use compiled::{CompiledPosTagger, TagScratch};
+pub use compiled::{tag_into, CompiledPosTagger, TagScratch};
 pub use tagger::PosTagger;
 pub use tagset::PennTag;
 pub use vectorize::{pos_frequency_vector, POS_VECTOR_DIM};
+
+#[cfg(test)]
+/// Provenance recording is process-global, so the unit tests that
+/// run the tag kernel serialize on this lock: one test's enabled window
+/// must never capture (or perturb) another test's decode.
+pub(crate) fn provenance_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}

@@ -246,6 +246,7 @@ impl AveragedPerceptron {
 }
 
 /// Index of the maximum value (first on ties). Panics on empty input.
+#[inline]
 pub fn argmax(xs: &[f64]) -> usize {
     let mut best = 0;
     for (i, &x) in xs.iter().enumerate().skip(1) {

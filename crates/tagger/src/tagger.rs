@@ -67,6 +67,10 @@ pub(crate) fn normalize_into(word: &str, out: &mut String) {
     }
 }
 
+// `suffix`, `prefix` and `perceptron::argmax` are `#[inline]` because
+// the generic tag kernel (`compiled::tag_into`) is instantiated in the
+// crates that call it, where only inline-marked helpers can be inlined.
+#[inline]
 pub(crate) fn suffix(word: &str, n: usize) -> &str {
     let len = word.len();
     if len <= n {
@@ -81,6 +85,7 @@ pub(crate) fn suffix(word: &str, n: usize) -> &str {
     }
 }
 
+#[inline]
 pub(crate) fn prefix(word: &str, n: usize) -> &str {
     let mut cut = n.min(word.len());
     while cut < word.len() && !word.is_char_boundary(cut) {
