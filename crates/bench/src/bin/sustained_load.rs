@@ -178,10 +178,8 @@ fn main() {
                 profile_doc = serde_json::to_value(&server.profile());
             }
 
+            // `request_shutdown` wakes the blocked acceptor itself.
             server.request_shutdown();
-            // The acceptor notices shutdown on its next poll tick; a
-            // nudge connection is unnecessary because it polls with a
-            // timeout.
             server.join();
         }
     }

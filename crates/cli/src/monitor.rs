@@ -24,7 +24,7 @@ const IO_TIMEOUT: Duration = Duration::from_secs(5);
 ///
 /// Responses are framed by `Content-Length` (the server sets it on
 /// every response), never by EOF, so the connection survives across
-/// polls and exercises the server's parking-lot reuse path.
+/// polls and exercises the server's keep-alive reuse path.
 struct HttpClient {
     addr: String,
     conn: Option<TcpStream>,

@@ -22,11 +22,13 @@
 //!   queue, and lets workers drain what was already admitted. There is
 //!   no signal handling — the workspace is std-only — so process
 //!   supervisors should use the endpoint.
-//! - **Keep-alive via a parking lot.** After a keep-alive response the
-//!   worker parks the connection back with the acceptor, whose poll
-//!   loop re-arms it as a fresh request (new id, new arrival stamp) the
-//!   moment bytes show up — bounded by a per-connection request cap and
-//!   an idle timeout, so a parked socket can never pin a worker.
+//! - **Keep-alive via waiter threads.** The acceptor blocks in `accept`
+//!   (shutdown wakes it with a loopback connect). After a keep-alive
+//!   response the worker parks the connection on a small thread blocked
+//!   in `peek`, which re-admits it as a fresh request (new id, new
+//!   arrival stamp) the moment bytes show up — bounded by a request
+//!   cap, the idle timeout and `queue_cap` parked connections, so a
+//!   parked socket can never pin a worker.
 //! - **Observability.** Every request is minted an id at admission
 //!   (echoed as `X-Request-Id`) and stamped through its lifecycle
 //!   (queue wait → handle → write) on the injected [`Clock`];
@@ -65,8 +67,8 @@ use recipe_obs::slo::{BurnWindow, Objective, SloEngine};
 use recipe_obs::window::{Clock, MonotonicClock, TICKS_PER_SEC};
 use serde_json::json;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -78,6 +80,12 @@ const STREAM_TIMEOUT: Duration = Duration::from_secs(10);
 /// Bounded size of the slowest-request exemplar table.
 const SLOW_TABLE_CAP: usize = 32;
 
+/// Acceptor back-off after a failed `accept` (e.g. EMFILE).
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(1);
+
+/// Stack of a keep-alive waiter thread (it only peeks, then admits).
+const WAITER_STACK: usize = 64 * 1024;
+
 /// Server tuning knobs. [`ServeConfig::default`] is the one place the
 /// default of each knob is written; `recipe-mine serve` flags override
 /// it field by field.
@@ -87,7 +95,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker shard count; 0 means [`recipe_runtime::default_threads`].
     pub shards: usize,
-    /// Bounded queue capacity (admission-control depth).
+    /// Bounded queue capacity (admission-control depth); also caps the
+    /// number of parked keep-alive connections.
     pub queue_cap: usize,
     /// `Retry-After` seconds advertised on shed responses.
     pub retry_after_secs: u32,
@@ -95,7 +104,7 @@ pub struct ServeConfig {
     /// server closes it (bounds how long one socket can recycle).
     pub keepalive_max_requests: u32,
     /// How long a parked keep-alive connection may sit idle before the
-    /// acceptor drops it, milliseconds.
+    /// server closes it, milliseconds.
     pub keepalive_idle_ms: u64,
     /// Collect windowed metrics, SLO outcomes, slow-request exemplars
     /// and drift samples. Off leaves only the cumulative counters (the
@@ -146,16 +155,6 @@ struct Conn {
     reused: u32,
 }
 
-/// A keep-alive connection waiting with the acceptor for its next
-/// request (nonblocking while parked).
-struct Parked {
-    stream: TcpStream,
-    /// Requests already served on this connection.
-    reused: u32,
-    /// Tick the connection was parked at (idle-timeout origin).
-    parked_at: u64,
-}
-
 /// One `/admin/slow` exemplar: the lifecycle breakdown of a slow
 /// request (all stamps from the shared [`Clock`], seconds).
 #[derive(Debug, Clone)]
@@ -178,6 +177,9 @@ struct Shared {
     metrics: ServeMetrics,
     queue: BoundedQueue<Conn>,
     shutdown: AtomicBool,
+    /// The bound listener address; [`begin_shutdown`] connects to it to
+    /// wake the blocked acceptor.
+    addr: SocketAddr,
     /// Provenance is a process-global store, so `/explain` requests
     /// (and drift sampling) must serialize across shards.
     explain_lock: Mutex<()>,
@@ -185,8 +187,8 @@ struct Shared {
     clock: Arc<dyn Clock>,
     /// Request-id mint (ids start at 1).
     next_request_id: AtomicU64,
-    /// Keep-alive connections waiting for their next request.
-    parking: Mutex<Vec<Parked>>,
+    /// Free parked-connection slots (starts at the queue capacity).
+    park_slots: AtomicUsize,
     /// Burn-rate engine over availability and latency objectives.
     slo: SloEngine,
     idx_availability: usize,
@@ -205,7 +207,7 @@ struct Shared {
     /// The latency-SLO threshold requests are scored against, seconds.
     latency_slo_s: f64,
     keepalive_max_requests: u32,
-    keepalive_idle_ticks: u64,
+    keepalive_idle: Duration,
     drift_sample: u64,
     shards: usize,
     retry_after_secs: u32,
@@ -214,7 +216,6 @@ struct Shared {
 /// A running server: handle for swap/shutdown/join.
 pub struct Server {
     shared: Arc<Shared>,
-    addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -230,7 +231,6 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shards = if cfg.shards == 0 {
             recipe_runtime::default_threads()
         } else {
@@ -274,10 +274,11 @@ impl Server {
             metrics: ServeMetrics::new(Arc::clone(&clock)),
             queue: BoundedQueue::new(cfg.queue_cap),
             shutdown: AtomicBool::new(false),
+            addr,
             explain_lock: Mutex::new(()),
             clock,
             next_request_id: AtomicU64::new(0),
-            parking: Mutex::new(Vec::new()),
+            park_slots: AtomicUsize::new(cfg.queue_cap.max(1)),
             slo,
             idx_availability,
             idx_latency,
@@ -289,7 +290,8 @@ impl Server {
             profiling: cfg.profiling,
             latency_slo_s,
             keepalive_max_requests: cfg.keepalive_max_requests.max(1),
-            keepalive_idle_ticks: cfg.keepalive_idle_ms.saturating_mul(TICKS_PER_SEC / 1_000),
+            keepalive_idle: Duration::from_millis(cfg.keepalive_idle_ms)
+                .max(Duration::from_micros(1)),
             drift_sample: cfg.drift_sample,
             shards,
             retry_after_secs: cfg.retry_after_secs,
@@ -306,7 +308,6 @@ impl Server {
         };
         Ok(Server {
             shared,
-            addr,
             acceptor: Some(acceptor),
             workers,
         })
@@ -314,7 +315,7 @@ impl Server {
 
     /// The bound address (resolves port 0 to the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// The serving metrics registry (merged into `/metrics`).
@@ -342,7 +343,7 @@ impl Server {
 
     /// Ask the server to stop accepting and drain admitted work.
     pub fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        begin_shutdown(&self.shared);
     }
 
     /// True once shutdown has been requested.
@@ -352,6 +353,8 @@ impl Server {
 
     /// Block until the acceptor and every worker shard have exited
     /// (i.e. shutdown was requested and admitted work has drained).
+    /// Keep-alive waiter threads are detached: each ends within the idle
+    /// timeout, closing its connection.
     pub fn join(mut self) {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
@@ -381,111 +384,90 @@ fn install_model(shared: &Shared, model: ServeModel) {
     shared.metrics.hot_swaps.inc();
 }
 
-/// Mint the next server-unique request id (ids start at 1).
-fn mint_id(shared: &Shared) -> u64 {
-    shared.next_request_id.fetch_add(1, Ordering::SeqCst) + 1
+/// Set the shutdown flag and wake the acceptor out of its blocking
+/// `accept` with one loopback connect. Only the first call wakes.
+fn begin_shutdown(shared: &Shared) {
+    if !shared.shutdown.swap(true, Ordering::SeqCst) {
+        let _ = TcpStream::connect_timeout(&wake_addr(shared.addr), Duration::from_secs(1));
+    }
 }
 
-/// Acceptor loop: accept, admit or shed, re-arm parked keep-alive
-/// connections, until shutdown. Closing the queue on exit is what lets
-/// the workers drain and stop.
+/// The address that reaches a listener bound to `addr`: an unspecified
+/// IP (`0.0.0.0` / `[::]`) maps to the loopback of its family.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+/// Acceptor loop: block in `accept` and admit or shed each connection,
+/// until shutdown. Closing the queue on exit is what lets the workers
+/// drain and stop.
 fn run_acceptor(shared: &Shared, listener: &TcpListener) {
     recipe_obs::event::set_thread_name("serve-acceptor");
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        drain_parking(shared);
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
                 shared.metrics.accepted.inc();
-                let conn = Conn {
-                    stream,
-                    id: mint_id(shared),
-                    arrived_ticks: shared.clock.now_ticks(),
-                    reused: 0,
-                };
-                match shared.queue.try_push(conn) {
-                    Ok(()) => {}
-                    Err(PushError::Full(conn)) => shed(shared, conn.stream),
-                    Err(PushError::Closed(_)) => break,
-                }
+                admit(shared, stream, 0);
                 shared.metrics.queue_depth.set(shared.queue.depth() as f64);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
     shared.queue.close();
 }
 
-/// Sweep the keep-alive parking lot: connections with bytes waiting are
-/// re-armed as fresh requests (new id, new arrival stamp — the reuse
-/// counter is the only memory of the previous request); closed or
-/// errored peers are dropped, and idle connections past the timeout are
-/// dropped too. Nonblocking throughout — one sweep costs a `peek` per
-/// parked socket.
-fn drain_parking(shared: &Shared) {
-    let mut parked = {
-        let mut lot = shared.parking.lock().unwrap_or_else(|p| p.into_inner());
-        if lot.is_empty() {
-            return;
-        }
-        std::mem::take(&mut *lot)
+/// Admit one request: mint its id and arrival stamp and queue it, or
+/// shed it when the queue is full. `reused` counts the requests already
+/// served on the connection. Only a waiter can find the queue closed
+/// (the acceptor closes it on exit); its connection is dropped.
+fn admit(shared: &Shared, stream: TcpStream, reused: u32) {
+    let conn = Conn {
+        stream,
+        id: shared.next_request_id.fetch_add(1, Ordering::SeqCst) + 1,
+        arrived_ticks: shared.clock.now_ticks(),
+        reused,
     };
-    let now = shared.clock.now_ticks();
-    let mut still_idle = Vec::with_capacity(parked.len());
-    for p in parked.drain(..) {
-        let mut probe = [0u8; 1];
-        match p.stream.peek(&mut probe) {
-            Ok(0) => {} // peer closed: drop
-            Ok(_) => {
-                let _ = p.stream.set_nonblocking(false);
-                shared.metrics.keepalive_reuse.inc();
-                let conn = Conn {
-                    stream: p.stream,
-                    id: mint_id(shared),
-                    arrived_ticks: now,
-                    reused: p.reused,
-                };
-                match shared.queue.try_push(conn) {
-                    Ok(()) => {}
-                    Err(PushError::Full(conn)) => shed(shared, conn.stream),
-                    Err(PushError::Closed(_)) => {}
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if now.saturating_sub(p.parked_at) <= shared.keepalive_idle_ticks {
-                    still_idle.push(p);
-                } // else: idle timeout — drop
-            }
-            Err(_) => {} // transport error: drop
-        }
-    }
-    if !still_idle.is_empty() {
-        let mut lot = shared.parking.lock().unwrap_or_else(|p| p.into_inner());
-        lot.extend(still_idle);
+    if let Err(PushError::Full(conn)) = shared.queue.try_push(conn) {
+        shed(shared, conn.stream);
     }
 }
 
-/// Park a keep-alive connection back with the acceptor after a
-/// response (nonblocking while parked so the sweep never stalls).
-fn park_connection(shared: &Shared, stream: TcpStream, reused: u32) {
-    if stream.set_nonblocking(true).is_err() {
-        return;
+/// Park a keep-alive connection (its slot already reserved) on a
+/// detached waiter thread: the moment bytes arrive it is re-admitted as
+/// a fresh request (new id, new arrival stamp — the reuse counter is the
+/// only memory of the previous request). EOF, a transport error or the
+/// idle timeout close it; so does a failed spawn.
+fn park_connection(shared: &Arc<Shared>, stream: TcpStream, reused: u32) {
+    let waiter = Arc::clone(shared);
+    let spawned = std::thread::Builder::new()
+        .stack_size(WAITER_STACK)
+        .spawn(move || {
+            let mut probe = [0u8; 1];
+            let ready = stream.set_read_timeout(Some(waiter.keepalive_idle)).is_ok()
+                && matches!(stream.peek(&mut probe), Ok(n) if n > 0);
+            waiter.park_slots.fetch_add(1, Ordering::SeqCst);
+            if ready {
+                waiter.metrics.keepalive_reuse.inc();
+                admit(&waiter, stream, reused);
+            }
+        });
+    if spawned.is_err() {
+        shared.park_slots.fetch_add(1, Ordering::SeqCst);
     }
-    let parked = Parked {
-        stream,
-        reused,
-        parked_at: shared.clock.now_ticks(),
-    };
-    let mut lot = shared.parking.lock().unwrap_or_else(|p| p.into_inner());
-    lot.push(parked);
 }
 
 /// Worker shard loop: one request per dequeue, served against the
 /// model pinned at dequeue time.
-fn run_worker(shared: &Shared, shard: usize) {
+fn run_worker(shared: &Arc<Shared>, shard: usize) {
     recipe_obs::event::set_thread_name(&format!("serve-worker-{shard}"));
     while let Some(conn) = shared.queue.pop_blocking() {
         shared.metrics.queue_depth.set(shared.queue.depth() as f64);
@@ -505,7 +487,7 @@ fn run_worker(shared: &Shared, shard: usize) {
 /// windowed mirrors, SLO outcomes, slow-table exemplar) from the tick
 /// stamps minted on the shared clock. Transport errors are dropped —
 /// the peer is gone.
-fn serve_connection(shared: &Shared, model: &ServeModel, conn: Conn) {
+fn serve_connection(shared: &Arc<Shared>, model: &ServeModel, conn: Conn) {
     let Conn {
         stream,
         id,
@@ -528,10 +510,15 @@ fn serve_connection(shared: &Shared, model: &ServeModel, conn: Conn) {
     // Decide reuse before writing: the Connection header must match
     // what the server will actually do with the socket. Bytes already
     // buffered past this request (a pipelined request) would be lost
-    // with the reader, so such a connection is closed, not parked.
+    // with the reader, so such a connection is closed, not parked; so
+    // is one that finds no free parked slot.
     let keep = client_keep_alive
         && reused + 1 < shared.keepalive_max_requests
-        && reader.buffer().is_empty();
+        && reader.buffer().is_empty()
+        && shared
+            .park_slots
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok();
     let handled_ticks = shared.clock.now_ticks();
     let mut stream = reader.into_inner();
     let wrote = http::write_response(&mut stream, &resp, keep).is_ok();
@@ -584,6 +571,8 @@ fn serve_connection(shared: &Shared, model: &ServeModel, conn: Conn) {
     }
     if wrote && keep {
         park_connection(shared, stream, reused + 1);
+    } else if keep {
+        shared.park_slots.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -620,8 +609,9 @@ fn record_slow(shared: &Shared, entry: SlowEntry) {
 }
 
 /// Shed one connection with `503 + Retry-After`. Drains whatever
-/// request bytes already arrived (without blocking) so the close does
-/// not reset the response out from under the client.
+/// request bytes already arrived (without blocking), then half-closes
+/// after the response: request bytes that arrive later make the close
+/// send a reset, and the FIN ahead of it keeps the 503 readable.
 fn shed(shared: &Shared, stream: TcpStream) {
     shared.metrics.shed.inc();
     if shared.monitoring {
@@ -642,6 +632,7 @@ fn shed(shared: &Shared, stream: TcpStream) {
         http::Response::json(503, render(&json!({ "error": "queue full", "shed": true })));
     resp.retry_after = Some(shared.retry_after_secs);
     let _ = http::write_response(&mut stream, &resp, false);
+    let _ = stream.shutdown(Shutdown::Write);
 }
 
 /// Map a framing error onto a response.
@@ -944,11 +935,11 @@ fn handle_reload(shared: &Shared, body: &[u8]) -> http::Response {
     }
 }
 
-/// `POST /admin/shutdown`: begin graceful drain. The acceptor notices
-/// within its poll tick, closes the queue, and workers exit once
+/// `POST /admin/shutdown`: begin graceful drain. The loopback wake
+/// unblocks the acceptor, which closes the queue, and workers exit once
 /// admitted work is drained.
 fn handle_shutdown(shared: &Shared) -> http::Response {
-    shared.shutdown.store(true, Ordering::SeqCst);
+    begin_shutdown(shared);
     http::Response::json(200, render(&json!({ "shutting_down": true })))
 }
 
@@ -972,6 +963,15 @@ mod tests {
         assert_eq!(resp.status, 400);
         let resp = error_response(&http::HttpError::TransferEncoding);
         assert_eq!(resp.status, 501);
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_ips_to_loopback() {
+        let wake = |a: &str| wake_addr(a.parse().expect("socket address")).to_string();
+        assert_eq!(wake("0.0.0.0:7878"), "127.0.0.1:7878");
+        assert_eq!(wake("[::]:7878"), "[::1]:7878");
+        assert_eq!(wake("10.1.2.3:80"), "10.1.2.3:80");
+        assert_eq!(wake("127.0.0.1:0"), "127.0.0.1:0");
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! PR 9 observability surface — keep-alive reuse, request-id
 //! uniqueness, lifecycle exemplars at `/admin/slow`, burn-rate state
 //! at `/admin/slo`, response header hygiene, and prediction-drift
-//! scoring against the artifact's frozen reference.
+//! scoring against the artifact's frozen reference; plus the blocking
+//! acceptor — shed 503s that survive late request bytes, the
+//! keep-alive idle timeout, the parked-connection cap, and shutdown
+//! waking an acceptor blocked in `accept`.
 
 use recipe_core::artifact::{
     artifact_bytes_with_reference, capture_drift_reference, ArtifactPipeline,
@@ -17,7 +20,7 @@ use serde_json::json;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn corpus() -> RecipeCorpus {
     RecipeCorpus::generate(&CorpusSpec::tiny(4242))
@@ -682,4 +685,224 @@ fn admin_shutdown_drains_and_joins() {
     // Drain must complete without external help (acceptor poll tick
     // notices the flag, closes the queue, workers exit).
     server.join();
+}
+
+/// Poll `cond` every 5 ms for up to 5 s; false if it never held.
+fn wait_until(mut cond: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while Instant::now() < deadline {
+        if cond() {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    cond()
+}
+
+/// Open a keep-alive connection, serve one `/extract` on it, and
+/// return it parked (the response advertised reuse).
+fn parked_connection(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let body = serde_json::to_string(&json!({ "phrases": ["1 cup sugar"] })).expect("body");
+    send_keep_alive(&mut stream, "POST", "/extract", &body);
+    let (status, head, _) = read_response(&mut stream);
+    assert_eq!(status, 200);
+    assert!(
+        head.contains("Connection: keep-alive"),
+        "expected a parked connection: {head:?}"
+    );
+    stream
+}
+
+#[test]
+fn shed_503_survives_request_bytes_that_arrive_late() {
+    let corpus = corpus();
+    let pipeline = train(&corpus);
+    let bytes = model_bytes(&pipeline);
+    let cfg = ServeConfig {
+        queue_cap: 1,
+        ..ephemeral(1)
+    };
+    let server = launch(&cfg, rma_model(&bytes));
+    let addr = server.local_addr();
+    let metrics = server.metrics();
+
+    // Hold the only worker with a half-sent request, then fill the one
+    // queue slot with a silent connection: every later arrival sheds.
+    let mut held = TcpStream::connect(addr).expect("connect held");
+    held.write_all(b"POST /extr").expect("partial header");
+    assert!(wait_until(|| metrics.in_flight.get() == 1.0));
+    let filler = TcpStream::connect(addr).expect("connect filler");
+    assert!(wait_until(|| metrics.queue_depth.get() == 1.0));
+
+    // The acceptor sheds each client the moment its connect lands, so
+    // a request sent a few microseconds later reaches a socket the
+    // server is writing the 503 to or has closed; one sent 1-5 ms later
+    // always arrives after the close. Either way the client must read
+    // the whole 503 rather than a reset. The sweep is sequential so each
+    // delay is measured from an uncontended connect.
+    let body = serde_json::to_string(&json!({ "phrases": ["1 cup sugar"] })).expect("body");
+    let delays_us: Vec<u64> = (0..120)
+        .chain([1_000, 2_000, 3_000, 4_000, 5_000])
+        .collect();
+    for (i, &delay_us) in delays_us.iter().enumerate() {
+        let mut s = TcpStream::connect(addr).expect("connect flood");
+        s.set_read_timeout(Some(Duration::from_secs(30))).ok();
+        let connected = Instant::now();
+        while connected.elapsed() < Duration::from_micros(delay_us) {
+            std::hint::spin_loop();
+        }
+        s.write_all(
+            format!(
+                "POST /extract HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\
+                 Content-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .unwrap_or_else(|e| panic!("send flood request {i}: {e}"));
+        let mut response = Vec::new();
+        s.read_to_end(&mut response)
+            .unwrap_or_else(|e| panic!("read shed response {i} (+{delay_us} us): {e}"));
+        let text = String::from_utf8(response).expect("utf-8 response");
+        let (head, payload) = text
+            .split_once("\r\n\r\n")
+            .unwrap_or_else(|| panic!("shed response {i} has no head: {text:?}"));
+        assert!(head.starts_with("HTTP/1.1 503 "), "client {i}: {head:?}");
+        assert!(head.contains("Retry-After: 1"), "client {i}: {head:?}");
+        assert!(
+            head.contains(&format!("Content-Length: {}", payload.len())),
+            "client {i}: truncated 503: {text:?}"
+        );
+        serde_json::from_str::<serde_json::Value>(payload).expect("shed body is JSON");
+    }
+    assert_eq!(metrics.shed.get(), delays_us.len() as u64);
+
+    drop(held);
+    drop(filler);
+    server.request_shutdown();
+    server.join();
+}
+
+#[test]
+fn idle_keep_alive_connection_is_closed_after_the_idle_timeout() {
+    let corpus = corpus();
+    let pipeline = train(&corpus);
+    let bytes = model_bytes(&pipeline);
+    let cfg = ServeConfig {
+        keepalive_idle_ms: 150,
+        ..ephemeral(1)
+    };
+    let server = launch(&cfg, rma_model(&bytes));
+    let addr = server.local_addr();
+
+    let mut stream = parked_connection(addr);
+    let reuse_before = server.metrics().keepalive_reuse.get();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .expect("timeout");
+    let parked_at = Instant::now();
+    let mut rest = Vec::new();
+    stream
+        .read_to_end(&mut rest)
+        .expect("an idle parked connection must be closed within 3 s");
+    assert!(rest.is_empty(), "nothing may follow the close: {rest:?}");
+    assert!(parked_at.elapsed() < Duration::from_secs(3));
+    assert_eq!(
+        server.metrics().keepalive_reuse.get(),
+        reuse_before,
+        "an idle timeout is not a reuse"
+    );
+
+    server.request_shutdown();
+    server.join();
+}
+
+#[test]
+fn parked_connections_are_capped_at_queue_cap() {
+    let corpus = corpus();
+    let pipeline = train(&corpus);
+    let bytes = model_bytes(&pipeline);
+    let cfg = ServeConfig {
+        queue_cap: 1,
+        ..ephemeral(2)
+    };
+    let server = launch(&cfg, rma_model(&bytes));
+    let addr = server.local_addr();
+    let body = serde_json::to_string(&json!({ "phrases": ["1 cup sugar"] })).expect("body");
+
+    // A takes the only parked slot.
+    let a = parked_connection(addr);
+
+    // B asks for keep-alive while A is parked: the server says close,
+    // and means it.
+    let mut b = TcpStream::connect(addr).expect("connect b");
+    b.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    send_keep_alive(&mut b, "POST", "/extract", &body);
+    let (status, head, _) = read_response(&mut b);
+    assert_eq!(status, 200);
+    assert!(
+        head.contains("Connection: close"),
+        "the parked cap is reached: {head:?}"
+    );
+    let mut rest = Vec::new();
+    b.read_to_end(&mut rest).expect("read to EOF");
+    assert!(rest.is_empty(), "nothing may follow the close: {rest:?}");
+
+    // Once A disconnects its waiter frees the slot.
+    drop(a);
+    let mut freed = false;
+    for _ in 0..200 {
+        let mut c = TcpStream::connect(addr).expect("connect c");
+        c.set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        send_keep_alive(&mut c, "POST", "/extract", &body);
+        let (status, head, _) = read_response(&mut c);
+        assert_eq!(status, 200);
+        if head.contains("Connection: keep-alive") {
+            freed = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(freed, "a disconnected parked client must free its slot");
+
+    server.request_shutdown();
+    server.join();
+}
+
+#[test]
+fn shutdown_wakes_the_blocked_acceptor_with_a_parked_connection() {
+    let corpus = corpus();
+    let pipeline = train(&corpus);
+    let bytes = model_bytes(&pipeline);
+
+    for via_endpoint in [false, true] {
+        let server = launch(&ephemeral(2), rma_model(&bytes));
+        let addr = server.local_addr();
+        let parked = parked_connection(addr);
+        if via_endpoint {
+            let (status, _, _) = request(addr, "POST", "/admin/shutdown", "");
+            assert_eq!(status, 200);
+        } else {
+            server.request_shutdown();
+        }
+        // Join on a helper thread so a lost wake fails the test instead
+        // of hanging it.
+        let (done, joined) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.join();
+            let _ = done.send(());
+        });
+        joined
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| {
+                panic!("join did not return within 2 s (via endpoint: {via_endpoint})")
+            });
+        drop(parked);
+    }
 }
